@@ -1,5 +1,5 @@
-// bench_kernel: join-kernel microbenchmarks and legacy-vs-flat
-// before/after comparison on the Table 1 workloads.
+// bench_kernel: join-kernel microbenchmarks and full-query timings on
+// the Table 1 workloads.
 //
 // Usage:
 //   bench_kernel [--db-vertices N] [--reps N] [--check] [--json FILE]
@@ -9,16 +9,18 @@
 //     index of a random graph relation (million probes/second).
 //   * semijoin: the semijoin inner loop in isolation — build a key set
 //     from 1M binary tuples, then stream 4M membership probes through
-//     it, once with the legacy structure (std::unordered_set) and once
-//     with the arena-backed FlatTupleSet. Million probes/second each.
-//   * eval_*: full-query before/after — the Table 1 EVAL / MAX-EVAL
-//     tractable sweeps and an acyclic-CQ evaluation, each run once with
-//     the legacy kernel (CqKernel::kLegacy + HomOrder::kLegacy) and once
-//     with the flat kernel (kFlat + kStats); the JSON records both
-//     medians and the speedup ratio.
+//     it, once with a node-based std::unordered_set (the "legacy"
+//     figure) and once with the arena-backed FlatTupleSet. Million
+//     probes/second each.
+//   * eval_*: full-query wall time — the Table 1 EVAL / MAX-EVAL
+//     tractable sweeps and an acyclic-CQ evaluation; the JSON records
+//     the median of --reps runs each.
 //
-// --check additionally compares the two kernels' canonical answer sets
-// on every workload and fails (exit 1) on any divergence, which makes
+// --check additionally compares the kernel against reference oracles
+// that follow the definitions directly and fails (exit 1) on any
+// divergence: the acyclic CQ's answer set against the backtracking
+// strategy, and WDPT Eval verdicts under all three semantics against
+// p(D) computed by full maximal-homomorphism enumeration. That makes
 // the binary usable as a differential gate (tools/run_tier1.sh runs it
 // this way in its perf-smoke step).
 //
@@ -42,7 +44,6 @@
 #include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/cq/evaluation.h"
-#include "src/cq/kernel.h"
 #include "src/engine/engine.h"
 #include "src/gen/cq_gen.h"
 #include "src/relational/mapping.h"
@@ -73,13 +74,9 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-void UseKernel(CqKernel kernel, HomOrder order) {
-  SetDefaultCqKernel(kernel);
-  SetDefaultHomOrder(order);
-}
-
 // Canonical form of an answer set: sorted textual renderings, so the
-// two kernels' outputs compare independent of enumeration order.
+// kernel's and the oracle's outputs compare independent of enumeration
+// order.
 std::vector<std::string> Canonical(const std::vector<Mapping>& answers) {
   std::vector<std::string> out;
   out.reserve(answers.size());
@@ -94,36 +91,23 @@ std::vector<std::string> Canonical(const std::vector<Mapping>& answers) {
   return out;
 }
 
-// One before/after series: wall-time medians per kernel + the ratio.
+// One timed series: the wall-time median over the reps.
 struct Series {
   std::string name;
-  double legacy_ms = 0;
-  double flat_ms = 0;
-
-  double Speedup() const { return flat_ms > 0 ? legacy_ms / flat_ms : 0; }
+  double ms = 0;
 };
 
-// Times `work` under each kernel, `reps` times, keeping medians.
+// Times `work` `reps` times, keeping the median.
 template <typename Fn>
 Series RunSeries(const std::string& name, int reps, Fn work) {
-  Series s;
-  s.name = name;
-  std::vector<double> legacy, flat;
+  std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
-    UseKernel(CqKernel::kLegacy, HomOrder::kLegacy);
     Clock::time_point t0 = Clock::now();
     work();
-    legacy.push_back(ElapsedMs(t0));
-    UseKernel(CqKernel::kFlat, HomOrder::kStats);
-    t0 = Clock::now();
-    work();
-    flat.push_back(ElapsedMs(t0));
+    samples.push_back(ElapsedMs(t0));
   }
-  UseKernel(CqKernel::kDefault, HomOrder::kDefault);
-  s.legacy_ms = Median(std::move(legacy));
-  s.flat_ms = Median(std::move(flat));
-  std::fprintf(stderr, "%-28s legacy=%9.3fms flat=%9.3fms speedup=%.2fx\n",
-               s.name.c_str(), s.legacy_ms, s.flat_ms, s.Speedup());
+  Series s{name, Median(std::move(samples))};
+  std::fprintf(stderr, "%-28s %9.3fms\n", s.name.c_str(), s.ms);
   return s;
 }
 
@@ -205,8 +189,8 @@ int main(int argc, char** argv) {
 
   // --- semijoin: membership-probe rate in isolation --------------------
   // The semijoin inner loop is "pack the join-key columns, test set
-  // membership". Time that loop over the same data with the legacy
-  // structure (unordered_set of packed keys) and with FlatTupleSet.
+  // membership". Time that loop over the same data with a node-based
+  // unordered_set of packed keys and with FlatTupleSet.
   double semijoin_legacy_mps = 0, semijoin_flat_mps = 0;
   {
     const uint32_t kBuild = 1'000'000;
@@ -259,7 +243,7 @@ int main(int argc, char** argv) {
                  "semijoin_probe", semijoin_legacy_mps, semijoin_flat_mps);
   }
 
-  // --- full-query before/after -----------------------------------------
+  // --- full-query timings ----------------------------------------------
   std::vector<Series> series;
 
   {
@@ -287,10 +271,10 @@ int main(int argc, char** argv) {
   }));
 
   // --- differential check ----------------------------------------------
-  // Runs on a small instance: the WDPT check enumerates *all* maximal
-  // homomorphisms, which is combinatorial on the timing-sized database.
   int check_failures = 0;
   if (check) {
+    // CQ side: the kernel's acyclic evaluation against the backtracking
+    // strategy (plain homomorphism search, no joins).
     bench::TractableInstance small(400, 1200, /*depth=*/2, /*branching=*/2,
                                    /*seed=*/11);
     ConjunctiveQuery small_cq =
@@ -298,71 +282,99 @@ int main(int argc, char** argv) {
     small_cq.free_vars = {small_cq.atoms.front().terms[0].variable_id(),
                           small_cq.atoms.back().terms[1].variable_id()};
     small_cq.Normalize();
-    UseKernel(CqKernel::kLegacy, HomOrder::kLegacy);
-    std::optional<std::vector<Mapping>> legacy_cq =
+    std::optional<std::vector<Mapping>> kernel_cq =
         EvaluateAcyclic(small_cq, small.db);
-    UseKernel(CqKernel::kFlat, HomOrder::kStats);
-    std::optional<std::vector<Mapping>> flat_cq =
-        EvaluateAcyclic(small_cq, small.db);
-    UseKernel(CqKernel::kDefault, HomOrder::kDefault);
-    WDPT_CHECK(legacy_cq.has_value() && flat_cq.has_value());
-    if (Canonical(*legacy_cq) != Canonical(*flat_cq)) {
-      std::fprintf(stderr, "CHECK FAILED: acyclic CQ answer sets differ\n");
+    CqEvalOptions backtracking;
+    backtracking.strategy = CqEvalStrategy::kBacktracking;
+    std::vector<Mapping> oracle_cq =
+        EvaluateCq(small_cq, small.db, backtracking);
+    WDPT_CHECK(kernel_cq.has_value());
+    if (Canonical(*kernel_cq) != Canonical(oracle_cq)) {
+      std::fprintf(stderr,
+                   "CHECK FAILED: acyclic CQ answer set differs from the "
+                   "backtracking oracle (%zu vs %zu answers)\n",
+                   kernel_cq->size(), oracle_cq.size());
       ++check_failures;
     }
 
-    // WDPT side: p(D) on these random instances is combinatorially huge,
-    // so the differential is a bounded membership sweep — sample answers
-    // from an early-stopped enumeration, add perturbed (likely-negative)
-    // variants, and require identical Eval verdicts from both kernels
-    // under all three semantics.
+    // WDPT side: Eval verdicts against the definitions, on an instance
+    // small enough to compute p(D) by full maximal-homomorphism
+    // enumeration. Standard: h in p(D). Partial: some answer subsumes h.
+    // Maximal: h in p_m(D), the subsumption-maximal answers. With seed
+    // 14, p_m(D) is a proper subset of p(D), so some sampled answers are
+    // standard answers but not maximal ones.
+    bench::TractableInstance tiny(12, 24, /*depth=*/2, /*branching=*/2,
+                                  /*seed=*/14);
+    Result<std::vector<Mapping>> p_of_d =
+        EvaluateWdptByFullEnumeration(tiny.tree, tiny.db);
+    WDPT_CHECK(p_of_d.ok());
+    std::vector<Mapping> p_m_of_d = MaximalMappings(*p_of_d);
+    // Candidates: a spread of answers, each also with its last binding
+    // dropped (a partial answer, rarely an answer), and pairs of answers
+    // crossed binding by binding (usually not an answer any more).
     std::vector<Mapping> candidates;
-    Status enum_status = ForEachMaximalHomomorphism(
-        small.tree, small.db, [&](const Mapping& m) {
-          candidates.push_back(m.RestrictTo(small.tree.free_vars()));
-          return candidates.size() < 100;
-        });
-    (void)enum_status;  // An early stop reports ok; a cap abort is fine too.
-    size_t num_positive = candidates.size();
-    for (size_t i = 0; i + 1 < num_positive; i += 2) {
-      // Cross two answers' bindings: usually not an answer any more.
-      std::vector<Mapping::Entry> entries;
-      const auto& a = candidates[i].entries();
-      const auto& b = candidates[i + 1].entries();
-      for (size_t k = 0; k < a.size(); ++k) {
-        entries.emplace_back(a[k].first, (k & 1) ? b[k].second : a[k].second);
+    const size_t stride = std::max<size_t>(1, p_of_d->size() / 50);
+    for (size_t i = 0; i < p_of_d->size(); i += stride) {
+      const Mapping& a = (*p_of_d)[i];
+      candidates.push_back(a);
+      if (a.entries().empty()) continue;
+      std::vector<Mapping::Entry> fewer = a.entries();
+      fewer.pop_back();
+      candidates.push_back(Mapping(std::move(fewer)));
+      const Mapping& b = (*p_of_d)[(i + p_of_d->size() / 2) % p_of_d->size()];
+      if (a.Domain() != b.Domain()) continue;
+      std::vector<Mapping::Entry> crossed;
+      for (size_t k = 0; k < a.entries().size(); ++k) {
+        crossed.push_back((k & 1) ? b.entries()[k] : a.entries()[k]);
       }
-      candidates.push_back(Mapping(std::move(entries)));
+      candidates.push_back(Mapping(std::move(crossed)));
     }
+    auto contains = [](const std::vector<Mapping>& set, const Mapping& h) {
+      return std::find(set.begin(), set.end(), h) != set.end();
+    };
     uint64_t verdict_mismatches = 0;
+    size_t true_verdicts[3] = {0, 0, 0};
     for (EvalSemantics semantics :
          {EvalSemantics::kStandard, EvalSemantics::kPartial,
           EvalSemantics::kMaximal}) {
-      Engine legacy_engine, flat_engine;
+      Engine engine;
       CallOptions check_opts;
       check_opts.semantics = semantics;
       for (const Mapping& h : candidates) {
-        UseKernel(CqKernel::kLegacy, HomOrder::kLegacy);
-        Result<bool> lv = legacy_engine.Eval(small.tree, small.db, h, check_opts);
-        UseKernel(CqKernel::kFlat, HomOrder::kStats);
-        Result<bool> fv = flat_engine.Eval(small.tree, small.db, h, check_opts);
-        UseKernel(CqKernel::kDefault, HomOrder::kDefault);
-        WDPT_CHECK(lv.ok() && fv.ok());
-        if (*lv != *fv) ++verdict_mismatches;
+        bool expected = false;
+        switch (semantics) {
+          case EvalSemantics::kStandard:
+            expected = contains(*p_of_d, h);
+            break;
+          case EvalSemantics::kPartial:
+            expected = std::any_of(
+                p_of_d->begin(), p_of_d->end(),
+                [&h](const Mapping& a) { return h.IsSubsumedBy(a); });
+            break;
+          case EvalSemantics::kMaximal:
+            expected = contains(p_m_of_d, h);
+            break;
+        }
+        Result<bool> verdict = engine.Eval(tiny.tree, tiny.db, h, check_opts);
+        WDPT_CHECK(verdict.ok());
+        if (*verdict != expected) ++verdict_mismatches;
+        if (expected) ++true_verdicts[static_cast<int>(semantics)];
       }
     }
     if (verdict_mismatches != 0) {
       std::fprintf(stderr,
-                   "CHECK FAILED: %llu WDPT Eval verdicts differ between "
-                   "kernels\n",
+                   "CHECK FAILED: %llu WDPT Eval verdicts differ from the "
+                   "definitions\n",
                    static_cast<unsigned long long>(verdict_mismatches));
       ++check_failures;
     }
     if (check_failures == 0) {
       std::fprintf(stderr,
-                   "check: kernels agree (%zu CQ answers, %zu Eval candidates "
-                   "x 3 semantics)\n",
-                   legacy_cq->size(), candidates.size());
+                   "check: kernel agrees with the oracles (%zu CQ answers; "
+                   "%zu Eval candidates over |p(D)| = %zu, |p_m(D)| = %zu; "
+                   "true verdicts standard=%zu partial=%zu maximal=%zu)\n",
+                   oracle_cq.size(), candidates.size(), p_of_d->size(),
+                   p_m_of_d.size(), true_verdicts[0], true_verdicts[1], true_verdicts[2]);
     }
   }
 
@@ -380,9 +392,7 @@ int main(int argc, char** argv) {
         << ",\"semijoin_flat_mprobes_per_s\":"
         << FormatDouble(semijoin_flat_mps);
     for (const Series& s : series) {
-      out << ",\"" << s.name << "_legacy_ms\":" << FormatDouble(s.legacy_ms)
-          << ",\"" << s.name << "_flat_ms\":" << FormatDouble(s.flat_ms)
-          << ",\"" << s.name << "_speedup\":" << FormatDouble(s.Speedup());
+      out << ",\"" << s.name << "_ms\":" << FormatDouble(s.ms);
     }
     out << "}\n";
     std::fprintf(stderr, "wrote %s\n", json_path.c_str());

@@ -108,98 +108,103 @@ Result<std::shared_ptr<const Plan>> Engine::GetPlan(
   return plan;
 }
 
-Result<bool> Engine::EvalWithPlan(const Plan& plan, const Database& db,
-                                  const Mapping& h,
-                                  const CallOptions& options,
-                                  const CancelToken& token) {
-  // An already-fired token (e.g. a zero deadline) never starts work.
+Result<AnswerCache::Value> Engine::RunThroughCache(
+    const CallOptions& options, const CancelToken& token, Trace* trace,
+    const std::function<std::string()>& cache_key,
+    const std::function<Result<AnswerCache::Value>()>& evaluate) {
+  Result<AnswerCache::Value> result =
+      Status::Internal("unreachable cache lease state");
+  // An already-fired token (e.g. a zero deadline) never starts work and
+  // is never served from the cache.
   Status token_status = StatusFromToken(token);
   if (!token_status.ok()) {
-    NoteStatus(token_status);
-    return token_status;
+    result = token_status;
+  } else if (!CacheParticipates(options)) {
+    result = evaluate();
+  } else {
+    AnswerCache::Lease lease = [&] {
+      Trace::Span span(trace, TraceStage::kCacheLookup);
+      return answer_cache_->Acquire(cache_key(), token);
+    }();
+    switch (lease.state()) {
+      case AnswerCache::Lease::State::kHit:
+        if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kHit);
+        result = *lease.value();
+        break;
+      case AnswerCache::Lease::State::kOwner:
+        if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kMiss);
+        result = evaluate();
+        // On failure the lease destructor abandons the flight: errors are
+        // never cached and parked waiters evaluate for themselves.
+        if (result.ok()) lease.Publish(*result);
+        break;
+      case AnswerCache::Lease::State::kMiss:
+        if (!lease.wait_status().ok()) {
+          // Our own token fired while parked behind the in-flight owner.
+          result = lease.wait_status();
+        } else {
+          // The owner abandoned its flight: evaluate without re-entering
+          // the cache, so a failing query cannot loop a stampede.
+          if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kMiss);
+          result = evaluate();
+        }
+        break;
+    }
   }
-
-  CqEvalOptions cq = options.cq;
-  cq.cancel = token;
-
-  Result<bool> result = false;
-  switch (options.semantics) {
-    case EvalSemantics::kStandard:
-      switch (plan.algorithm()) {
-        case EvalAlgorithm::kNaive:
-          result = EvalNaive(plan.tree(), db, h, cq);
-          break;
-        case EvalAlgorithm::kTractableDP:
-          result = EvalTractable(plan.tree(), db, h, cq);
-          break;
-        case EvalAlgorithm::kProjectionFree:
-          result = EvalProjectionFree(plan.tree(), db, h, cq);
-          break;
-        case EvalAlgorithm::kAuto:
-          return Status::Internal("plan retains kAuto algorithm");
-      }
-      break;
-    case EvalSemantics::kPartial:
-      result = PartialEval(plan.tree(), db, h, cq);
-      break;
-    case EvalSemantics::kMaximal:
-      result = MaxEval(plan.tree(), db, h, cq);
-      break;
-  }
-
-  // A fired token invalidates whatever the wound-down computation
-  // returned: surface the terminal status instead of a partial answer.
-  token_status = StatusFromToken(token);
-  if (!token_status.ok()) {
-    NoteStatus(token_status);
-    return token_status;
-  }
+  // The one place a call's deadline / cancellation is counted.
+  if (!result.ok()) NoteStatus(result.status());
   return result;
 }
 
-Result<bool> Engine::EvalThroughCache(const Plan& plan, const Database& db,
-                                      const Mapping& h,
-                                      const CallOptions& options,
-                                      const CancelToken& token,
-                                      Trace* trace) {
-  if (!CacheParticipates(options)) {
-    return EvalWithPlan(plan, db, h, options, token);
-  }
-  std::string key =
-      EvalCacheKey(plan.tree(), static_cast<uint8_t>(options.semantics), h,
-                   options.cache.generation);
-  AnswerCache::Lease lease = [&] {
-    Trace::Span span(trace, TraceStage::kCacheLookup);
-    return answer_cache_->Acquire(key, token);
-  }();
-  switch (lease.state()) {
-    case AnswerCache::Lease::State::kHit:
-      if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kHit);
-      return lease.value()->verdict;
-    case AnswerCache::Lease::State::kOwner: {
-      if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kMiss);
-      Result<bool> result = EvalWithPlan(plan, db, h, options, token);
-      if (result.ok()) {
-        AnswerCache::Value value;
-        value.is_verdict = true;
-        value.verdict = *result;
-        lease.Publish(std::move(value));
-      }
-      // On failure the lease destructor abandons the flight: errors are
-      // never cached and parked waiters evaluate for themselves.
-      return result;
+Result<bool> Engine::EvalWithPlan(const Plan& plan, const Database& db,
+                                  const Mapping& h,
+                                  const CallOptions& options,
+                                  const CancelToken& token, Trace* trace) {
+  auto cache_key = [&] {
+    return EvalCacheKey(plan.tree(), static_cast<uint8_t>(options.semantics),
+                        h, options.cache.generation);
+  };
+  auto evaluate = [&]() -> Result<AnswerCache::Value> {
+    CqEvalOptions cq = options.cq;
+    cq.cancel = token;
+    Result<bool> verdict = false;
+    switch (options.semantics) {
+      case EvalSemantics::kStandard:
+        switch (plan.algorithm()) {
+          case EvalAlgorithm::kNaive:
+            verdict = EvalNaive(plan.tree(), db, h, cq);
+            break;
+          case EvalAlgorithm::kTractableDP:
+            verdict = EvalTractable(plan.tree(), db, h, cq);
+            break;
+          case EvalAlgorithm::kProjectionFree:
+            verdict = EvalProjectionFree(plan.tree(), db, h, cq);
+            break;
+          case EvalAlgorithm::kAuto:
+            return Status::Internal("plan retains kAuto algorithm");
+        }
+        break;
+      case EvalSemantics::kPartial:
+        verdict = PartialEval(plan.tree(), db, h, cq);
+        break;
+      case EvalSemantics::kMaximal:
+        verdict = MaxEval(plan.tree(), db, h, cq);
+        break;
     }
-    case AnswerCache::Lease::State::kMiss: {
-      if (!lease.wait_status().ok()) {
-        // Our own token fired while parked behind the in-flight owner.
-        NoteStatus(lease.wait_status());
-        return lease.wait_status();
-      }
-      if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kMiss);
-      return EvalWithPlan(plan, db, h, options, token);
-    }
-  }
-  return Status::Internal("unreachable cache lease state");
+    // A fired token invalidates whatever the wound-down computation
+    // returned: surface the terminal status instead of a partial answer.
+    Status token_status = StatusFromToken(token);
+    if (!token_status.ok()) return token_status;
+    if (!verdict.ok()) return verdict.status();
+    AnswerCache::Value value;
+    value.is_verdict = true;
+    value.verdict = *verdict;
+    return value;
+  };
+  Result<AnswerCache::Value> value =
+      RunThroughCache(options, token, trace, cache_key, evaluate);
+  if (!value.ok()) return value.status();
+  return value->verdict;
 }
 
 void Engine::NoteStatus(const Status& status) {
@@ -220,7 +225,7 @@ Result<bool> Engine::Eval(const PatternTree& tree, const Database& db,
   CancelToken token = EffectiveToken(options.cancel, options.deadline);
   Clock::time_point start = Clock::now();
   Result<bool> result =
-      EvalThroughCache(**plan, db, h, options, token, options.trace);
+      EvalWithPlan(**plan, db, h, options, token, options.trace);
   uint64_t eval_ns = ElapsedNs(start);
   StatsCollector::Bump(stats_.eval_ns, eval_ns);
   if (options.trace != nullptr) {
@@ -261,8 +266,8 @@ Result<std::vector<bool>> Engine::EvalBatch(const PatternTree& tree,
       // parked single-flight waiter is safe here — the flight's owner is
       // always an already-running thread, never a queued task.
       CancelToken token = EffectiveToken(options.cancel, options.deadline);
-      Result<bool> r = EvalThroughCache(*shared_plan, db, hs[i], options,
-                                        token, nullptr);
+      Result<bool> r =
+          EvalWithPlan(*shared_plan, db, hs[i], options, token, nullptr);
       if (r.ok()) {
         values[i] = *r ? 1 : 0;
       } else {
@@ -287,40 +292,38 @@ Result<std::vector<bool>> Engine::EvalBatch(const PatternTree& tree,
   return results;
 }
 
-Result<std::vector<Mapping>> Engine::EnumerateThroughCache(
+Result<std::vector<Mapping>> Engine::EnumerateWithCore(
     const PatternTree& tree, const CallOptions& options,
-    const CancelToken& token,
-    const std::function<Result<std::vector<Mapping>>()>& evaluate) {
-  if (!CacheParticipates(options)) return evaluate();
-  std::string key = EnumerateCacheKey(
-      tree, static_cast<uint8_t>(options.semantics), options.limits,
-      options.cache.generation);
-  Trace* trace = options.trace;
-  AnswerCache::Lease lease = [&] {
-    Trace::Span span(trace, TraceStage::kCacheLookup);
-    return answer_cache_->Acquire(key, token);
-  }();
-  switch (lease.state()) {
-    case AnswerCache::Lease::State::kHit:
-      if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kHit);
-      return lease.value()->answers;
-    case AnswerCache::Lease::State::kOwner: {
-      if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kMiss);
-      Result<std::vector<Mapping>> result = evaluate();
-      if (result.ok()) {
-        AnswerCache::Value value;
-        value.answers = *result;
-        lease.Publish(std::move(value));
-      }
-      return result;
-    }
-    case AnswerCache::Lease::State::kMiss: {
-      if (!lease.wait_status().ok()) return lease.wait_status();
-      if (trace != nullptr) trace->set_cache_outcome(CacheOutcome::kMiss);
-      return evaluate();
-    }
+    const std::function<Result<std::vector<Mapping>>(const CancelToken&)>&
+        core) {
+  if (options.trace != nullptr) {
+    // Enumeration itself needs no plan; resolve the (cached) plan only to
+    // stamp the tractability class on the trace. Failure leaves the class
+    // unknown and never fails the enumeration.
+    (void)GetPlan(tree, PlanOptions{}, options.trace);
   }
-  return Status::Internal("unreachable cache lease state");
+  CancelToken token = EffectiveToken(options.cancel, options.deadline);
+  auto cache_key = [&] {
+    return EnumerateCacheKey(tree, static_cast<uint8_t>(options.semantics),
+                             options.limits, options.cache.generation);
+  };
+  auto evaluate = [&]() -> Result<AnswerCache::Value> {
+    Result<std::vector<Mapping>> answers = core(token);
+    if (!answers.ok()) return answers.status();
+    AnswerCache::Value value;
+    value.answers = std::move(*answers);
+    return value;
+  };
+  Clock::time_point start = Clock::now();
+  Result<AnswerCache::Value> value =
+      RunThroughCache(options, token, options.trace, cache_key, evaluate);
+  uint64_t enumerate_ns = ElapsedNs(start);
+  StatsCollector::Bump(stats_.enumerate_ns, enumerate_ns);
+  if (options.trace != nullptr) {
+    options.trace->Record(TraceStage::kEval, enumerate_ns);
+  }
+  if (!value.ok()) return value.status();
+  return std::move(value->answers);
 }
 
 Result<std::vector<Mapping>> Engine::EnumerateCore(
@@ -342,29 +345,9 @@ Result<std::vector<Mapping>> Engine::Enumerate(
         "Enumerate: kPartial is a membership-only semantics; use Eval with "
         "a candidate");
   }
-  if (options.trace != nullptr) {
-    // Enumeration itself needs no plan; resolve the (cached) plan only to
-    // stamp the tractability class on the trace. Failure leaves the class
-    // unknown and never fails the enumeration.
-    (void)GetPlan(tree, PlanOptions{}, options.trace);
-  }
-  CancelToken token = EffectiveToken(options.cancel, options.deadline);
-  Status token_status = StatusFromToken(token);
-  if (!token_status.ok()) {
-    NoteStatus(token_status);
-    return token_status;
-  }
-  Clock::time_point start = Clock::now();
-  Result<std::vector<Mapping>> result = EnumerateThroughCache(
-      tree, options, token,
-      [&] { return EnumerateCore(tree, db, options, token); });
-  uint64_t enumerate_ns = ElapsedNs(start);
-  StatsCollector::Bump(stats_.enumerate_ns, enumerate_ns);
-  if (options.trace != nullptr) {
-    options.trace->Record(TraceStage::kEval, enumerate_ns);
-  }
-  if (!result.ok()) NoteStatus(result.status());
-  return result;
+  return EnumerateWithCore(tree, options, [&](const CancelToken& token) {
+    return EnumerateCore(tree, db, options, token);
+  });
 }
 
 Result<std::vector<Mapping>> Engine::EnumerateShardedCore(
@@ -472,30 +455,12 @@ Result<std::vector<Mapping>> Engine::Enumerate(
   }
 
   StatsCollector::Bump(stats_.enumerate_calls);
-  if (options.trace != nullptr) {
-    (void)GetPlan(tree, PlanOptions{}, options.trace);
-  }
-  CancelToken token = EffectiveToken(options.cancel, options.deadline);
-  Status token_status = StatusFromToken(token);
-  if (!token_status.ok()) {
-    NoteStatus(token_status);
-    return token_status;
-  }
-  Clock::time_point start = Clock::now();
   // The sharded path shares the unsharded path's cache key: its answers
   // are bit-identical, so whichever path fills the entry first serves
   // both.
-  Result<std::vector<Mapping>> result = EnumerateThroughCache(
-      tree, options, token, [&] {
-        return EnumerateShardedCore(tree, db, seed_index, options, token);
-      });
-  uint64_t enumerate_ns = ElapsedNs(start);
-  StatsCollector::Bump(stats_.enumerate_ns, enumerate_ns);
-  if (options.trace != nullptr) {
-    options.trace->Record(TraceStage::kEval, enumerate_ns);
-  }
-  if (!result.ok()) NoteStatus(result.status());
-  return result;
+  return EnumerateWithCore(tree, options, [&](const CancelToken& token) {
+    return EnumerateShardedCore(tree, db, seed_index, options, token);
+  });
 }
 
 Result<bool> Engine::Eval(const PatternTree& tree,

@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/cancellation.h"
@@ -189,19 +190,34 @@ class Engine {
   /// skipped by policy.
   bool CacheParticipates(const CallOptions& options) const;
 
-  /// Dispatch on (semantics, plan->algorithm()) with `token` installed in
-  /// the CQ options; converts a fired token into its status.
+  /// The one answer-cache path shared by Eval, EvalBatch and Enumerate.
+  /// Refuses an already-fired `token`; when the call participates in
+  /// the cache, acquires the single-flight lease on `cache_key()`: a hit
+  /// is served, the owner runs `evaluate` and publishes a success, and a
+  /// parked waiter returns its own fired token's status or, when the
+  /// owner abandoned, runs `evaluate` itself. Otherwise runs `evaluate`
+  /// directly. Counts a deadline / cancellation outcome exactly once.
+  /// `trace` is passed explicitly (nullptr from EvalBatch tasks, which
+  /// must not touch the caller's single-owner trace).
+  Result<AnswerCache::Value> RunThroughCache(
+      const CallOptions& options, const CancelToken& token, Trace* trace,
+      const std::function<std::string()>& cache_key,
+      const std::function<Result<AnswerCache::Value>()>& evaluate);
+
+  /// One membership check through the answer cache: dispatch on
+  /// (semantics, plan.algorithm()) with `token` installed in the CQ
+  /// options; a fired token becomes its status.
   Result<bool> EvalWithPlan(const Plan& plan, const Database& db,
                             const Mapping& h, const CallOptions& options,
-                            const CancelToken& token);
+                            const CancelToken& token, Trace* trace);
 
-  /// EvalWithPlan through the answer cache (single-flight); falls back
-  /// to a direct call when the cache does not participate. `trace` is
-  /// passed explicitly (nullptr from EvalBatch tasks, which must not
-  /// touch the caller's single-owner trace).
-  Result<bool> EvalThroughCache(const Plan& plan, const Database& db,
-                                const Mapping& h, const CallOptions& options,
-                                const CancelToken& token, Trace* trace);
+  /// The shared body of both Enumerate overloads: resolves the effective
+  /// token, runs `core` through the answer cache, and records the
+  /// enumeration time.
+  Result<std::vector<Mapping>> EnumerateWithCore(
+      const PatternTree& tree, const CallOptions& options,
+      const std::function<Result<std::vector<Mapping>>(const CancelToken&)>&
+          core);
 
   /// The uncached enumeration core: p(D) / p_m(D) on the full view.
   Result<std::vector<Mapping>> EnumerateCore(const PatternTree& tree,
@@ -214,13 +230,6 @@ class Engine {
   Result<std::vector<Mapping>> EnumerateShardedCore(
       const PatternTree& tree, const ShardedDatabase& db, size_t seed_atom,
       const CallOptions& options, const CancelToken& token);
-
-  /// Runs `evaluate` through the answer cache with single-flight
-  /// collapsing, or directly when the cache does not participate.
-  Result<std::vector<Mapping>> EnumerateThroughCache(
-      const PatternTree& tree, const CallOptions& options,
-      const CancelToken& token,
-      const std::function<Result<std::vector<Mapping>>()>& evaluate);
 
   /// Records a terminal status in the early-termination counters.
   void NoteStatus(const Status& status);

@@ -349,6 +349,60 @@ TEST(EngineCache, StampedeCollapsesToExactlyOneEvaluation) {
   EXPECT_EQ(stats.homomorphism_calls, single_run_homs);
 }
 
+// A parked single-flight waiter whose own deadline fires is counted as
+// exactly one deadline_exceeded, on Eval and on Enumerate alike. The
+// test plays the in-flight owner itself: holding the owner lease on the
+// call's exact cache key parks the engine call deterministically.
+TEST(EngineCache, ParkedWaiterDeadlineCountsOnce) {
+  RdfContext ctx;
+  PatternTree tree;
+  tree.AddAtom(PatternTree::kRoot, ctx.TriplePattern("?x", "rb", "?y"));
+  tree.SetFreeVariables({ctx.vocab().Variable("x").variable_id(),
+                         ctx.vocab().Variable("y").variable_id()});
+  ASSERT_TRUE(tree.Validate().ok());
+  Database db = ctx.MakeDatabase();
+  ctx.AddTriple(&db, "a", "rb", "b");
+  Mapping h({{ctx.vocab().Variable("x").variable_id(),
+              ctx.vocab().FindConstant("a")},
+             {ctx.vocab().Variable("y").variable_id(),
+              ctx.vocab().FindConstant("b")}});
+
+  EngineOptions eopts;
+  eopts.answer_cache_bytes = 1 << 20;
+  Engine engine(eopts);
+  // The engine exposes its cache read-only; taking the owner lease is
+  // the one mutation this test needs.
+  AnswerCache* cache = const_cast<AnswerCache*>(engine.answer_cache());
+  ASSERT_NE(cache, nullptr);
+
+  CallOptions options;
+  options.cache.generation = 1;
+  options.deadline = std::chrono::milliseconds(20);
+  const uint8_t standard = static_cast<uint8_t>(EvalSemantics::kStandard);
+
+  {
+    Lease owner = cache->Acquire(EvalCacheKey(tree, standard, h, 1),
+                                 CancelToken());
+    ASSERT_EQ(owner.state(), Lease::State::kOwner);
+    Result<bool> verdict = engine.Eval(tree, db, h, options);
+    ASSERT_FALSE(verdict.ok());
+    EXPECT_EQ(verdict.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(engine.stats().answer_cache_inflight_waits, 1u);
+    EXPECT_EQ(engine.stats().deadline_exceeded, 1u) << "Eval waiter";
+  }  // Dropping the owner lease abandons the flight.
+
+  {
+    Lease owner = cache->Acquire(
+        EnumerateCacheKey(tree, standard, options.limits, 1), CancelToken());
+    ASSERT_EQ(owner.state(), Lease::State::kOwner);
+    Result<std::vector<Mapping>> answers = engine.Enumerate(tree, db, options);
+    ASSERT_FALSE(answers.ok());
+    EXPECT_EQ(answers.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(engine.stats().answer_cache_inflight_waits, 2u);
+    EXPECT_EQ(engine.stats().deadline_exceeded, 2u) << "Enumerate waiter";
+  }
+}
+
 // --- Server-level behavior -------------------------------------------
 
 constexpr const char* kBlueTriples =

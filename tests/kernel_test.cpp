@@ -1,8 +1,11 @@
 // Tests for the columnar join kernel: the flat hash tables and arena,
 // CSR column indexes (against naive scans), galloping intersection, the
 // stale-flag / Freeze index lifecycle, and randomized differentials
-// pinning the flat kernel and the statistics-driven atom order to the
-// legacy implementations' answer sets.
+// against reference oracles that follow the definitions directly: CQ
+// answers against the backtracking strategy, the homomorphism search
+// against a brute force over the active domain, and Engine::Enumerate
+// (every semantics, sharded and cached) against p(D) by full
+// maximal-homomorphism enumeration.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +15,8 @@
 #include <random>
 #include <set>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -22,10 +27,12 @@
 #include "src/cq/cq.h"
 #include "src/cq/evaluation.h"
 #include "src/cq/homomorphism.h"
-#include "src/cq/kernel.h"
+#include "src/engine/engine.h"
 #include "src/gen/cq_gen.h"
 #include "src/gen/db_gen.h"
+#include "src/gen/wdpt_gen.h"
 #include "src/relational/database.h"
+#include "src/relational/sharded.h"
 #include "src/wdpt/enumerate.h"
 
 namespace wdpt {
@@ -363,12 +370,22 @@ TEST_F(CsrFixture, FreezePublishesAndCloneUnfreezes) {
 }
 
 // ---------------------------------------------------------------------
-// Differential: flat kernel and stats order vs the legacy paths
+// Differential: the join kernel and the homomorphism search against
+// reference oracles that follow the definitions directly
 // ---------------------------------------------------------------------
 
 std::vector<Mapping> Sorted(std::vector<Mapping> ms) {
   std::sort(ms.begin(), ms.end());
   return ms;
+}
+
+// q(D) by the backtracking strategy: one homomorphism search per answer,
+// no bag joins, no semijoins.
+std::vector<Mapping> BacktrackingAnswers(const ConjunctiveQuery& q,
+                                         const Database& db) {
+  CqEvalOptions options;
+  options.strategy = CqEvalStrategy::kBacktracking;
+  return Sorted(EvaluateCq(q, db, options));
 }
 
 class DifferentialFixture : public ::testing::Test {
@@ -402,22 +419,18 @@ TEST_F(DifferentialFixture, AcyclicEvaluationIdenticalAnswerSets) {
     for (uint32_t len : {2u, 3u, 4u}) {
       ConjunctiveQuery q =
           PathQuery(len, "s" + std::to_string(seed) + "l" + std::to_string(len));
-      std::optional<std::vector<Mapping>> legacy = EvaluateAcyclic(
-          q, db, /*max_answers=*/0, CancelToken(), CqKernel::kLegacy);
-      std::optional<std::vector<Mapping>> flat = EvaluateAcyclic(
-          q, db, /*max_answers=*/0, CancelToken(), CqKernel::kFlat);
-      ASSERT_TRUE(legacy.has_value());
-      ASSERT_TRUE(flat.has_value());
-      ASSERT_FALSE(legacy->empty());
-      ASSERT_EQ(Sorted(*legacy), Sorted(*flat))
-          << "seed " << seed << " len " << len;
+      std::optional<std::vector<Mapping>> kernel = EvaluateAcyclic(q, db);
+      ASSERT_TRUE(kernel.has_value());
+      std::vector<Mapping> oracle = BacktrackingAnswers(q, db);
+      ASSERT_FALSE(oracle.empty());
+      ASSERT_EQ(Sorted(*kernel), oracle) << "seed " << seed << " len " << len;
     }
   }
 }
 
 TEST_F(DifferentialFixture, DecompositionEvaluationIdenticalAnswerSets) {
   // Cycles are not acyclic: this exercises EvaluateWithDecomposition
-  // (GHD of width 2) under both kernels.
+  // (GHD of width 2).
   RelationId edge_rel;
   Database db = MakeGraph(40, 160, 9, &edge_rel);
   for (uint32_t len : {3u, 4u, 5u}) {
@@ -425,39 +438,62 @@ TEST_F(DifferentialFixture, DecompositionEvaluationIdenticalAnswerSets) {
         gen::MakeCycleCq(&schema_, &vocab_, len, "c" + std::to_string(len));
     q.free_vars = {q.atoms.front().terms[0].variable_id()};
     q.Normalize();
-    CqEvalOptions legacy_opts, flat_opts;
-    legacy_opts.strategy = flat_opts.strategy = CqEvalStrategy::kDecomposition;
-    legacy_opts.kernel = CqKernel::kLegacy;
-    flat_opts.kernel = CqKernel::kFlat;
-    ASSERT_EQ(Sorted(EvaluateCq(q, db, legacy_opts)),
-              Sorted(EvaluateCq(q, db, flat_opts)))
+    CqEvalOptions options;
+    options.strategy = CqEvalStrategy::kDecomposition;
+    std::vector<Mapping> oracle = BacktrackingAnswers(q, db);
+    ASSERT_FALSE(oracle.empty()) << "cycle length " << len;
+    ASSERT_EQ(Sorted(EvaluateCq(q, db, options)), oracle)
         << "cycle length " << len;
   }
 }
 
-TEST_F(DifferentialFixture, HomSearchOrdersEnumerateSameSet) {
+TEST_F(DifferentialFixture, HomSearchMatchesBruteForce) {
   // Triangle query: once two variables are bound, the third atom has two
-  // bound columns — the stats order takes the galloping path.
+  // bound columns, so the search takes the galloping path.
   RelationId edge_rel;
   Database db = MakeGraph(50, 300, 31, &edge_rel);
   ConjunctiveQuery q = gen::MakeCycleCq(&schema_, &vocab_, 3, "t");
-  auto collect = [&](HomOrder order) {
-    HomSearchLimits limits;
-    limits.order = order;
-    std::vector<Mapping> found;
-    EXPECT_TRUE(ForEachHomomorphism(q.atoms, db, Mapping(),
-                                    [&](const Mapping& m) {
-                                      found.push_back(m);
-                                      return true;
-                                    },
-                                    limits));
-    return Sorted(std::move(found));
-  };
-  std::vector<Mapping> legacy = collect(HomOrder::kLegacy);
-  std::vector<Mapping> stats = collect(HomOrder::kStats);
-  ASSERT_EQ(legacy, stats);
-  uint64_t gallops = metrics::Load(metrics::GallopIntersections());
-  EXPECT_GT(gallops, 0u) << "stats order never galloped on a triangle";
+  uint64_t gallops_before = metrics::Load(metrics::GallopIntersections());
+  std::vector<Mapping> found;
+  ASSERT_TRUE(ForEachHomomorphism(q.atoms, db, Mapping(),
+                                  [&](const Mapping& m) {
+                                    found.push_back(m);
+                                    return true;
+                                  }));
+  EXPECT_GT(metrics::Load(metrics::GallopIntersections()), gallops_before)
+      << "the search never galloped on a triangle";
+
+  // Brute force: every assignment of the query's variables over the
+  // active domain, kept when each atom's image is a fact of db.
+  std::vector<VariableId> vars = VariablesOf(q.atoms);
+  std::vector<ConstantId> domain = db.ActiveDomain();
+  ASSERT_FALSE(domain.empty());
+  std::vector<Mapping> brute;
+  std::vector<size_t> digits(vars.size(), 0);
+  while (true) {
+    std::vector<Mapping::Entry> entries;
+    for (size_t i = 0; i < vars.size(); ++i) {
+      entries.emplace_back(vars[i], domain[digits[i]]);
+    }
+    Mapping h(std::move(entries));
+    bool all_facts = true;
+    for (const Atom& atom : SubstituteMapping(q.atoms, h)) {
+      std::vector<ConstantId> tuple;
+      for (Term t : atom.terms) tuple.push_back(t.constant_id());
+      if (!db.ContainsFact(atom.relation, tuple)) {
+        all_facts = false;
+        break;
+      }
+    }
+    if (all_facts) brute.push_back(std::move(h));
+    size_t pos = 0;
+    while (pos < digits.size() && ++digits[pos] == domain.size()) {
+      digits[pos++] = 0;
+    }
+    if (pos == digits.size()) break;
+  }
+  ASSERT_FALSE(brute.empty());
+  ASSERT_EQ(Sorted(std::move(found)), Sorted(std::move(brute)));
 }
 
 TEST_F(DifferentialFixture, RandomCqsAgreeUnderAutoStrategy) {
@@ -469,36 +505,112 @@ TEST_F(DifferentialFixture, RandomCqsAgreeUnderAutoStrategy) {
                                            "r" + std::to_string(seed));
     q.free_vars = q.AllVariables();
     q.Normalize();
-    CqEvalOptions legacy_opts, flat_opts;
-    legacy_opts.kernel = CqKernel::kLegacy;
-    flat_opts.kernel = CqKernel::kFlat;
-    ASSERT_EQ(Sorted(EvaluateCq(q, db, legacy_opts)),
-              Sorted(EvaluateCq(q, db, flat_opts)))
+    ASSERT_EQ(Sorted(EvaluateCq(q, db)), BacktrackingAnswers(q, db))
         << "random CQ seed " << seed;
   }
 }
 
+// Engine::Enumerate (projection-aware enumerator, sharded scatter-gather,
+// answer cache) against p(D) by full maximal-homomorphism enumeration,
+// with p_m(D) as MaximalMappings of it. Grid: semantics x shard count x
+// cache on/off.
+using EngineOracleParam = std::tuple<EvalSemantics, size_t, bool>;
+
+class EngineOracleTest : public ::testing::TestWithParam<EngineOracleParam> {
+ protected:
+  void ExpectMatchesOracle(const PatternTree& tree, const Database& db,
+                           const std::string& label) {
+    const auto [semantics, shards, cache] = GetParam();
+    Result<std::vector<Mapping>> oracle =
+        EvaluateWdptByFullEnumeration(tree, db);
+    ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status().ToString();
+    std::vector<Mapping> expected = semantics == EvalSemantics::kMaximal
+                                        ? Sorted(MaximalMappings(*oracle))
+                                        : Sorted(*oracle);
+    ASSERT_FALSE(expected.empty()) << label;
+
+    EngineOptions engine_options;
+    if (cache) engine_options.answer_cache_bytes = 4 << 20;
+    Engine engine(engine_options);
+    CallOptions options;
+    options.semantics = semantics;
+    if (cache) options.cache.generation = 1;
+    ShardedDatabase sharded(db, shards);
+    // With the cache on, the second round is served from it.
+    for (int round = 0; round < 2; ++round) {
+      Result<std::vector<Mapping>> got =
+          engine.Enumerate(tree, sharded, options);
+      ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+      // Enumerate's contract is the canonical sorted order, so equality
+      // here is bit-identity, not just same-set.
+      ASSERT_EQ(*got, expected) << label << " round " << round;
+    }
+    if (cache) {
+      EXPECT_GE(engine.stats().answer_cache_hits, 1u) << label;
+    }
+  }
+};
+
+TEST_P(EngineOracleTest, EnumerateMatchesFullEnumeration) {
+  // Kept small: the oracle enumerates every maximal homomorphism.
+  for (uint64_t seed : {21u, 22u, 23u, 24u}) {
+    Schema schema;
+    Vocabulary vocab;
+    RelationId edge_rel = 0;
+    gen::RandomGraphOptions graph;
+    graph.num_vertices = 10;
+    graph.num_edges = 18;
+    graph.seed = seed;
+    Database db = gen::MakeRandomGraphDb(&schema, &vocab, graph, &edge_rel);
+    gen::RandomWdptOptions shape;
+    shape.depth = 2;
+    shape.branching = 1;
+    shape.atoms_per_node = 2;
+    shape.seed = seed;
+    PatternTree tree = gen::MakeRandomChainWdpt(&schema, &vocab, shape);
+    ExpectMatchesOracle(tree, db, "chain seed " + std::to_string(seed));
+  }
+  bench::Fig1Instance fig1(/*num_bands=*/40);
+  ExpectMatchesOracle(fig1.tree, fig1.db, "Fig. 1");
+}
+
 TEST(WdptDifferentialTest, Fig1AnswersIdenticalAcrossKernels) {
   // End-to-end WDPT evaluation (Figure 1 catalog): the projection-aware
-  // enumerator drives homomorphism search and CQ evaluation; both
-  // kernel stacks must produce the bit-identical canonical answer
-  // vector.
+  // enumerator over the flat kernel, the sharded engine, and p(D) by
+  // full maximal-homomorphism enumeration must produce the bit-identical
+  // canonical answer vector.
   bench::Fig1Instance instance(/*num_bands=*/60);
-  SetDefaultCqKernel(CqKernel::kLegacy);
-  SetDefaultHomOrder(HomOrder::kLegacy);
-  Result<std::vector<Mapping>> legacy = EvaluateWdpt(instance.tree, instance.db);
-  SetDefaultCqKernel(CqKernel::kFlat);
-  SetDefaultHomOrder(HomOrder::kStats);
-  Result<std::vector<Mapping>> flat = EvaluateWdpt(instance.tree, instance.db);
-  SetDefaultCqKernel(CqKernel::kDefault);
-  SetDefaultHomOrder(HomOrder::kDefault);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(flat.ok());
-  ASSERT_FALSE(legacy->empty());
-  // EvaluateWdpt's contract is the canonical sorted order, so equality
-  // here is bit-identity, not just same-set.
-  ASSERT_EQ(*legacy, *flat);
+  Result<std::vector<Mapping>> oracle =
+      EvaluateWdptByFullEnumeration(instance.tree, instance.db);
+  Result<std::vector<Mapping>> direct =
+      EvaluateWdpt(instance.tree, instance.db);
+  Engine engine;
+  ShardedDatabase sharded(instance.db, /*num_shards=*/4);
+  Result<std::vector<Mapping>> engine_answers =
+      engine.Enumerate(instance.tree, sharded, CallOptions());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_TRUE(engine_answers.ok()) << engine_answers.status().ToString();
+  ASSERT_FALSE(direct->empty());
+  // EvaluateWdpt's and Enumerate's contract is the canonical sorted
+  // order, so equality here is bit-identity, not just same-set.
+  ASSERT_EQ(*direct, Sorted(*oracle));
+  ASSERT_EQ(*engine_answers, *direct);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, EngineOracleTest,
+    ::testing::Combine(::testing::Values(EvalSemantics::kStandard,
+                                         EvalSemantics::kMaximal),
+                       ::testing::Values(size_t{1}, size_t{4}),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<EngineOracleParam>& info) {
+      return std::string(std::get<0>(info.param) == EvalSemantics::kMaximal
+                             ? "Maximal"
+                             : "Standard") +
+             "_" + std::to_string(std::get<1>(info.param)) + "Shard" +
+             (std::get<2>(info.param) ? "_Cache" : "_NoCache");
+    });
 
 }  // namespace
 }  // namespace wdpt

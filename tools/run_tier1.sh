@@ -15,8 +15,8 @@
 #      the primary restarted mid-load; zero mismatches and at least
 #      one observed resync required; see docs/REPLICATION.md);
 #   5. a join-kernel perf smoke: `bench_kernel --check` runs the
-#      legacy-vs-flat differential gate on a reduced instance and
-#      writes a benchmark JSON, which is then fed through
+#      flat kernel vs reference oracle differential gate on reduced
+#      instances and writes a benchmark JSON, which is then fed through
 #      tools/bench_compare.py (against itself — exercises the
 #      regression-gate plumbing; compare against a saved baseline by
 #      hand for real regression hunts, see docs/BENCHMARKS.md).
@@ -73,7 +73,7 @@ for preset in "${presets[@]}"; do
     step "chaos smoke (replicas)" \
       ./build/tools/wdpt_loadgen --replicas 2 --chaos --chaos-seed 7 \
       --clients 4 --requests 30 --bands 40
-    step "perf smoke (kernel differential)" \
+    step "perf smoke (flat kernel vs reference oracle)" \
       ./build/bench/bench_kernel --db-vertices 800 --reps 2 --check \
       --json build/BENCH_kernel_smoke.json
     if command -v python3 >/dev/null 2>&1; then
