@@ -288,8 +288,8 @@ void BM_Engine_EvalBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_Engine_EvalBatch)->Arg(8)->Arg(32);
 
-// Scatter-gather enumeration over a hash-partitioned snapshot, swept
-// over the shard count (1 = the sharded entry point's fallback path).
+// Scatter-gather enumeration (CallOptions::shards), swept over the
+// shard count (1 = the plain, unsharded run).
 // Asserts at teardown that the sharded answers are bit-identical to
 // unsharded enumeration — the soundness contract of the sharded path —
 // and reports the shard and engine-thread counts as counters. No
@@ -298,21 +298,20 @@ BENCHMARK(BM_Engine_EvalBatch)->Arg(8)->Arg(32);
 void BM_Engine_EnumerateSharded(benchmark::State& state) {
   size_t shards = static_cast<size_t>(state.range(0));
   Fig1Instance inst(/*num_bands=*/256);
-  ShardedDatabase sharded(inst.db, shards);
   EngineOptions eopts;
   eopts.num_threads = 4;
   Engine engine(eopts);
   CallOptions opts;
+  opts.shards = shards;
   std::vector<Mapping> sharded_answers;
   for (auto _ : state) {
-    Result<std::vector<Mapping>> r =
-        engine.Enumerate(inst.tree, sharded, opts);
+    Result<std::vector<Mapping>> r = engine.Enumerate(inst.tree, inst.db, opts);
     WDPT_CHECK(r.ok());
     sharded_answers = *r;
     benchmark::DoNotOptimize(r);
   }
   Result<std::vector<Mapping>> unsharded =
-      engine.Enumerate(inst.tree, inst.db, opts);
+      engine.Enumerate(inst.tree, inst.db, CallOptions());
   WDPT_CHECK(unsharded.ok());
   WDPT_CHECK(sharded_answers == *unsharded);
   state.counters["shards"] = static_cast<double>(shards);

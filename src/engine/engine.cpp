@@ -1,6 +1,7 @@
 #include "src/engine/engine.h"
 
 #include <algorithm>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -32,19 +33,18 @@ uint64_t ElapsedNs(Clock::time_point start) {
 }
 
 // Picks the root-label atom to scatter by: the one whose relation holds
-// the most facts in the full view (its matches spread widest across the
-// shards), ties broken by label position. Nullary relations cannot be
-// partitioned (a shard stores no arity-0 rows), so they are skipped;
-// ground atoms of arity >= 1 are fine — their single matching fact
-// lives in exactly one shard. Returns false when no atom qualifies.
-bool PickSeedAtom(const PatternTree& tree, const Database& full,
+// the most facts (its matches split into the most even chunks), ties
+// broken by label position. Nullary atoms are skipped: one has at most
+// one match, which no split can spread. Ground atoms of arity >= 1 are
+// fine. Returns false when no atom qualifies.
+bool PickSeedAtom(const PatternTree& tree, const Database& db,
                   size_t* seed_index) {
   const std::vector<Atom>& label = tree.label(PatternTree::kRoot);
   bool found = false;
   size_t best_size = 0;
   for (size_t i = 0; i < label.size(); ++i) {
-    if (full.schema().Arity(label[i].relation) == 0) continue;
-    size_t size = full.relation(label[i].relation).size();
+    if (db.schema().Arity(label[i].relation) == 0) continue;
+    size_t size = db.relation(label[i].relation).size();
     if (!found || size > best_size) {
       found = true;
       *seed_index = i;
@@ -292,10 +292,22 @@ Result<std::vector<bool>> Engine::EvalBatch(const PatternTree& tree,
   return results;
 }
 
-Result<std::vector<Mapping>> Engine::EnumerateWithCore(
-    const PatternTree& tree, const CallOptions& options,
-    const std::function<Result<std::vector<Mapping>>(const CancelToken&)>&
-        core) {
+Result<std::vector<Mapping>> Engine::Enumerate(
+    const PatternTree& tree, const Database& db,
+    const CallOptions& options) {
+  StatsCollector::Bump(stats_.enumerate_calls);
+  if (options.semantics == EvalSemantics::kPartial) {
+    return Status::InvalidArgument(
+        "Enumerate: kPartial is a membership-only semantics; use Eval with "
+        "a candidate");
+  }
+  bool scatter = false;
+  size_t seed_index = 0;
+  if (options.shards > 1) {
+    StatsCollector::Bump(stats_.sharded_enumerate_calls);
+    scatter = tree.validated() && PickSeedAtom(tree, db, &seed_index);
+    if (!scatter) StatsCollector::Bump(stats_.sharded_fallbacks);
+  }
   if (options.trace != nullptr) {
     // Enumeration itself needs no plan; resolve the (cached) plan only to
     // stamp the tractability class on the trace. Failure leaves the class
@@ -303,12 +315,21 @@ Result<std::vector<Mapping>> Engine::EnumerateWithCore(
     (void)GetPlan(tree, PlanOptions{}, options.trace);
   }
   CancelToken token = EffectiveToken(options.cancel, options.deadline);
+  // Scattered and plain runs share one cache key: their answers are
+  // bit-identical, so whichever fills the entry first serves both.
   auto cache_key = [&] {
     return EnumerateCacheKey(tree, static_cast<uint8_t>(options.semantics),
                              options.limits, options.cache.generation);
   };
   auto evaluate = [&]() -> Result<AnswerCache::Value> {
-    Result<std::vector<Mapping>> answers = core(token);
+    Result<std::vector<Mapping>> answers =
+        scatter ? EnumerateShardedCore(tree, db, seed_index, options, token)
+                : EnumerateCore(tree, db, options, token);
+    // As in EvalWithPlan: a token that fired after the last poll still
+    // turns the answer into its status, so a late answer is neither
+    // returned nor cached.
+    Status token_status = StatusFromToken(token);
+    if (!token_status.ok()) return token_status;
     if (!answers.ok()) return answers.status();
     AnswerCache::Value value;
     value.answers = std::move(*answers);
@@ -336,145 +357,90 @@ Result<std::vector<Mapping>> Engine::EnumerateCore(
              : EvaluateWdpt(tree, db, limits);
 }
 
-Result<std::vector<Mapping>> Engine::Enumerate(
-    const PatternTree& tree, const Database& db,
-    const CallOptions& options) {
-  StatsCollector::Bump(stats_.enumerate_calls);
-  if (options.semantics == EvalSemantics::kPartial) {
-    return Status::InvalidArgument(
-        "Enumerate: kPartial is a membership-only semantics; use Eval with "
-        "a candidate");
-  }
-  return EnumerateWithCore(tree, options, [&](const CancelToken& token) {
-    return EnumerateCore(tree, db, options, token);
-  });
-}
-
 Result<std::vector<Mapping>> Engine::EnumerateShardedCore(
-    const PatternTree& tree, const ShardedDatabase& db, size_t seed_index,
+    const PatternTree& tree, const Database& db, size_t seed_index,
     const CallOptions& options, const CancelToken& token) {
+  const size_t n = options.shards;
   if (options.trace != nullptr) {
-    options.trace->set_shard_fanout(static_cast<uint32_t>(db.num_shards()));
+    options.trace->set_shard_fanout(static_cast<uint32_t>(n));
   }
   EnumerationLimits limits = options.limits;
   limits.cancel = token;
-  // Shard tasks only ever read the databases once the lazy per-column
-  // indexes exist; WarmColumnIndexes covers the full view and every
-  // shard.
+  // Tasks only ever read the database once the lazy per-column indexes
+  // exist.
   db.WarmColumnIndexes();
 
-  const std::vector<Atom> seed_atoms{
-      tree.label(PatternTree::kRoot)[seed_index]};
-  const size_t n = db.num_shards();
-  std::vector<std::vector<Mapping>> shard_answers(n);
-  std::vector<Status> statuses(n, Status::Ok());
-  std::vector<uint64_t> shard_ns(n, 0);
-  BatchLatch latch(n);
+  // Scatter: every maximal homomorphism extends exactly one match of
+  // the seed atom (Definition 2), so splitting the matches splits the
+  // work; each task still completes its seeds against all of `db`,
+  // where the joins and the maximality condition live.
+  std::vector<Mapping> seeds;
+  HomSearchLimits hom_limits;
+  hom_limits.cancel = token;
+  bool complete = ForEachHomomorphism(
+      {tree.label(PatternTree::kRoot)[seed_index]}, db, Mapping(),
+      [&seeds](const Mapping& m) {
+        seeds.push_back(m);
+        return true;
+      },
+      hom_limits);
+  if (!complete) {
+    Status stopped = StatusFromToken(token);
+    return stopped.ok() ? Status::Internal("sharded seed scan aborted")
+                        : stopped;
+  }
 
-  for (size_t s = 0; s < n; ++s) {
-    pool_.Submit([&tree, &db, &seed_atoms, limits, &shard_answers,
-                  &statuses, &shard_ns, &latch, s] {
+  std::vector<std::vector<Mapping>> task_answers(n);
+  std::vector<Status> statuses(n, Status::Ok());
+  std::vector<uint64_t> task_ns(n, 0);
+  BatchLatch latch(n);
+  for (size_t t = 0; t < n; ++t) {
+    // Task t completes the contiguous chunk [t*|seeds|/n, (t+1)*|seeds|/n).
+    std::span<const Mapping> chunk(seeds.data() + t * seeds.size() / n,
+                                   seeds.data() + (t + 1) * seeds.size() / n);
+    pool_.Submit([&tree, &db, chunk, &limits, &task_answers, &statuses,
+                  &task_ns, &latch, t] {
       Clock::time_point task_start = Clock::now();
-      // Scatter: seeds are the matches of the seed atom within this
-      // shard alone. Each fact lives in exactly one shard, so the
-      // per-shard seed sets partition the root homomorphisms.
-      std::vector<Mapping> seeds;
-      HomSearchLimits hom_limits;
-      hom_limits.cancel = limits.cancel;
-      bool complete = ForEachHomomorphism(
-          seed_atoms, db.shard(s), Mapping(),
-          [&seeds](const Mapping& m) {
-            seeds.push_back(m);
-            return true;
-          },
-          hom_limits);
-      if (!complete) {
-        statuses[s] = StatusFromToken(limits.cancel);
-        if (statuses[s].ok()) {
-          statuses[s] = Status::Internal("sharded seed scan aborted");
-        }
+      Result<std::vector<Mapping>> part =
+          EvaluateWdptProjectedSeeded(tree, db, chunk, limits);
+      if (part.ok()) {
+        task_answers[t] = std::move(*part);
       } else {
-        // Complete each seed against the FULL view: cross-shard joins
-        // and the maximality condition need the whole database.
-        Result<std::vector<Mapping>> part =
-            EvaluateWdptProjectedSeeded(tree, db.full(), seeds, limits);
-        if (part.ok()) {
-          shard_answers[s] = std::move(*part);
-        } else {
-          statuses[s] = part.status();
-        }
+        statuses[t] = part.status();
       }
-      shard_ns[s] = ElapsedNs(task_start);
+      task_ns[t] = ElapsedNs(task_start);
       latch.CountDown();
     });
   }
   latch.Wait();
   StatsCollector::Bump(stats_.shard_tasks, n);
   if (options.trace != nullptr) {
-    for (uint64_t ns : shard_ns) options.trace->RecordShard(ns);
+    for (uint64_t ns : task_ns) options.trace->RecordShard(ns);
   }
-  // Deterministic error reporting: first failure in shard order wins,
+  // Deterministic error reporting: first failure in task order wins,
   // and a failed gather yields no partial answers.
   for (const Status& st : statuses) {
     if (!st.ok()) return st;
   }
 
   // Gather: union with dedup (distinct root seeds can project to the
-  // same answer), then the canonical sort shared with the unsharded
-  // path.
+  // same answer), then the canonical sort shared with the plain run.
   std::unordered_set<Mapping, MappingHash> seen;
   std::vector<Mapping> answers;
-  for (std::vector<Mapping>& part : shard_answers) {
+  for (std::vector<Mapping>& part : task_answers) {
     for (Mapping& m : part) {
       if (seen.insert(m).second) answers.push_back(std::move(m));
     }
   }
   std::sort(answers.begin(), answers.end());
   // p_m(D) is a global property of p(D), so maximality is filtered after
-  // the union — matching EvaluateWdptMaximal on the full view.
+  // the union — matching EvaluateWdptMaximal.
   if (options.semantics == EvalSemantics::kMaximal) {
-    answers = MaximalMappings(answers);
+    answers = MaximalMappings(answers, token);
+    Status stopped = StatusFromToken(token);
+    if (!stopped.ok()) return stopped;
   }
   return answers;
-}
-
-Result<std::vector<Mapping>> Engine::Enumerate(
-    const PatternTree& tree, const ShardedDatabase& db,
-    const CallOptions& options) {
-  StatsCollector::Bump(stats_.sharded_enumerate_calls);
-  size_t seed_index = 0;
-  if (db.num_shards() <= 1 || !tree.validated() ||
-      !PickSeedAtom(tree, db.full(), &seed_index)) {
-    StatsCollector::Bump(stats_.sharded_fallbacks);
-    return Enumerate(tree, db.full(), options);
-  }
-  if (options.semantics == EvalSemantics::kPartial) {
-    return Status::InvalidArgument(
-        "Enumerate: kPartial is a membership-only semantics; use Eval with "
-        "a candidate");
-  }
-
-  StatsCollector::Bump(stats_.enumerate_calls);
-  // The sharded path shares the unsharded path's cache key: its answers
-  // are bit-identical, so whichever path fills the entry first serves
-  // both.
-  return EnumerateWithCore(tree, options, [&](const CancelToken& token) {
-    return EnumerateShardedCore(tree, db, seed_index, options, token);
-  });
-}
-
-Result<bool> Engine::Eval(const PatternTree& tree,
-                          const ShardedDatabase& db, const Mapping& h,
-                          const CallOptions& options) {
-  StatsCollector::Bump(stats_.sharded_fallbacks);
-  return Eval(tree, db.full(), h, options);
-}
-
-Result<std::vector<bool>> Engine::EvalBatch(
-    const PatternTree& tree, const ShardedDatabase& db,
-    const std::vector<Mapping>& hs, const CallOptions& options) {
-  StatsCollector::Bump(stats_.sharded_fallbacks);
-  return EvalBatch(tree, db.full(), hs, options);
 }
 
 EngineStats Engine::stats() const {

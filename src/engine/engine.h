@@ -34,7 +34,6 @@
 #include "src/engine/thread_pool.h"
 #include "src/relational/database.h"
 #include "src/relational/mapping.h"
-#include "src/relational/sharded.h"
 #include "src/wdpt/enumerate.h"
 #include "src/wdpt/pattern_tree.h"
 
@@ -48,7 +47,7 @@ enum class EvalSemantics {
 };
 
 /// The one per-call option surface, accepted by every Engine entry
-/// point (Eval, EvalBatch, Enumerate, and their sharded overloads).
+/// point (Eval, EvalBatch, Enumerate).
 /// Replaces the former EvalOptions / EnumerateOptions pair and the raw
 /// EnumerationLimits plumbing; fields irrelevant to a given call are
 /// simply ignored (e.g. `limits` by Eval, `algorithm` by Enumerate).
@@ -86,6 +85,10 @@ struct CallOptions {
   /// mode is kDefault, and `cache.generation` is non-zero (the server
   /// stamps it with the snapshot version).
   CachePolicy cache;
+  /// Scatter tasks for Enumerate (docs/ENGINE.md, "Sharded
+  /// evaluation"); 0 and 1 both mean one plain, unsharded run. Answers
+  /// are bit-identical for every value. Enumerate-only.
+  size_t shards = 1;
 };
 
 /// Engine construction knobs.
@@ -122,41 +125,21 @@ class Engine {
   /// p(D) (or p_m(D) with options.semantics == kMaximal) via the
   /// projection-aware enumerator, with engine-level deadline /
   /// cancellation handling. Answers come back in the canonical sorted
-  /// order (Mapping's operator<), identical across the sharded and
-  /// unsharded paths.
+  /// order (Mapping's operator<).
+  ///
+  /// With options.shards > 1 the call scatters: one root-label seed
+  /// atom is matched once against `db`, the matches are split into
+  /// `shards` contiguous chunks, each chunk is completed against the
+  /// whole of `db` on the engine pool, and the parts are merged with
+  /// deduplication — bit-identical to the unsharded run (asserted in
+  /// tests/sharded_test.cpp). It falls back to the plain run, counted
+  /// as a sharded fallback, for an unvalidated tree or a root label with
+  /// no seed atom (empty, or only nullary relations). Each task gets its
+  /// own copy of options.limits. A scattering call must not be made
+  /// from within an engine pool task (the gather barrier would deadlock
+  /// the pool).
   Result<std::vector<Mapping>> Enumerate(
       const PatternTree& tree, const Database& db,
-      const CallOptions& options = CallOptions());
-
-  /// Scatter-gather enumeration over a sharded database: one root-label
-  /// seed atom is matched per shard in parallel on the engine pool, each
-  /// seed match is completed against the retained full view (cross-shard
-  /// joins and the maximality condition need the whole database), and
-  /// the shard-local answer sets are merged with deduplication into the
-  /// same canonical order the unsharded path returns — the two paths are
-  /// bit-identical (asserted in tests/sharded_test.cpp). Falls back to
-  /// the full view when the partitioning cannot help soundly: a single
-  /// shard, an unvalidated tree, or a root label with no partitionable
-  /// atom (empty, or only nullary relations). Each shard task gets its
-  /// own copy of options.limits. Must not be called from within an
-  /// engine pool task (the gather barrier would deadlock the pool).
-  Result<std::vector<Mapping>> Enumerate(
-      const PatternTree& tree, const ShardedDatabase& db,
-      const CallOptions& options = CallOptions());
-
-  /// EVAL over a sharded database. A candidate check is one global
-  /// homomorphism problem — its joins cross shard boundaries — so this
-  /// routes to the full view unchanged (counted as a sharded fallback).
-  /// Provided so holders of a ShardedDatabase need no second handle.
-  Result<bool> Eval(const PatternTree& tree, const ShardedDatabase& db,
-                    const Mapping& h,
-                    const CallOptions& options = CallOptions());
-
-  /// EvalBatch over a sharded database: routes to the full view (the
-  /// batch already parallelizes across candidates; see Eval above).
-  Result<std::vector<bool>> EvalBatch(
-      const PatternTree& tree, const ShardedDatabase& db,
-      const std::vector<Mapping>& hs,
       const CallOptions& options = CallOptions());
 
   /// The cached (or freshly built) plan for a tree. Exposed for the CLI's
@@ -211,24 +194,17 @@ class Engine {
                             const Mapping& h, const CallOptions& options,
                             const CancelToken& token, Trace* trace);
 
-  /// The shared body of both Enumerate overloads: resolves the effective
-  /// token, runs `core` through the answer cache, and records the
-  /// enumeration time.
-  Result<std::vector<Mapping>> EnumerateWithCore(
-      const PatternTree& tree, const CallOptions& options,
-      const std::function<Result<std::vector<Mapping>>(const CancelToken&)>&
-          core);
-
-  /// The uncached enumeration core: p(D) / p_m(D) on the full view.
+  /// The uncached enumeration core: p(D) / p_m(D) in one plain run.
   Result<std::vector<Mapping>> EnumerateCore(const PatternTree& tree,
                                              const Database& db,
                                              const CallOptions& options,
                                              const CancelToken& token);
 
-  /// The uncached sharded scatter-gather core. `seed_atom` was already
-  /// chosen by the caller (fallback decided there).
+  /// The uncached scatter-gather core over options.shards tasks.
+  /// `seed_atom` was already chosen by the caller (fallback decided
+  /// there).
   Result<std::vector<Mapping>> EnumerateShardedCore(
-      const PatternTree& tree, const ShardedDatabase& db, size_t seed_atom,
+      const PatternTree& tree, const Database& db, size_t seed_atom,
       const CallOptions& options, const CancelToken& token);
 
   /// Records a terminal status in the early-termination counters.

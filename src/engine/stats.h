@@ -43,10 +43,10 @@ struct EngineStats {
   uint64_t batch_tasks = 0;       ///< Mappings fanned out across batches.
   uint64_t enumerate_calls = 0;   ///< Enumerate invocations.
 
-  // Scatter-gather over sharded snapshots.
-  uint64_t sharded_enumerate_calls = 0;  ///< Enumerate over a ShardedDatabase.
-  uint64_t sharded_fallbacks = 0;  ///< Sharded calls served by the full view.
-  uint64_t shard_tasks = 0;        ///< Per-shard scatter tasks executed.
+  // Scatter-gather enumeration (CallOptions::shards > 1).
+  uint64_t sharded_enumerate_calls = 0;  ///< Enumerate calls with shards > 1.
+  uint64_t sharded_fallbacks = 0;  ///< Of those, run plain (no seed atom).
+  uint64_t shard_tasks = 0;        ///< Scatter tasks executed.
 
   // Answer cache (src/engine/answer_cache.h); all zero when the engine
   // has no cache configured. Filled by Engine::stats() from the cache's

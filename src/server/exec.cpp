@@ -111,12 +111,11 @@ Response ExecuteQuery(Engine* engine, const Snapshot& snapshot,
     options.cancel = token;
     options.trace = trace;
     options.cache.generation = snapshot.version;
-    // A sharded snapshot routes enumeration through scatter-gather;
-    // answers are bit-identical to the unsharded path (engine.h).
+    // A sharded snapshot scatters enumeration over the engine pool;
+    // answers are bit-identical to the unsharded run (engine.h).
+    options.shards = snapshot.shards;
     Result<std::vector<Mapping>> answers =
-        snapshot.sharded != nullptr
-            ? engine->Enumerate(compiled->tree, *snapshot.sharded, options)
-            : engine->Enumerate(compiled->tree, snapshot.db, options);
+        engine->Enumerate(compiled->tree, snapshot.db, options);
     if (answers.ok()) {
       Trace::Span span(trace, TraceStage::kSerialize);
       size_t keep = answers->size();

@@ -581,8 +581,8 @@ Response Server::HandleReload(const std::string& triples) {
     return r;
   }
   uint64_t version = next_version_.fetch_add(1);
-  // The configured shard count carries across reloads, so per-shard
-  // warmed indexes are rebuilt (never dropped to unsharded) on swap.
+  // The configured shard count carries across reloads (never dropped
+  // to unsharded on swap).
   Result<std::shared_ptr<const Snapshot>> snapshot =
       LoadSnapshot(triples, version, options_.shards);
   if (!snapshot.ok()) {

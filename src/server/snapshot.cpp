@@ -15,12 +15,7 @@ Result<std::shared_ptr<const Snapshot>> LoadSnapshot(
   // and turns any missed warm path into a hard failure instead of a
   // data race under concurrent workers.
   snapshot->db.Freeze();
-  if (shards > 1) {
-    // The ShardedDatabase constructor warms the full view and every
-    // shard, so sharded requests never build an index under traffic.
-    snapshot->sharded =
-        std::make_unique<ShardedDatabase>(snapshot->db, shards);
-  }
+  snapshot->shards = shards;
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 
@@ -35,10 +30,7 @@ Result<std::shared_ptr<const Snapshot>> MakeSnapshot(const RdfContext& ctx,
   snapshot->db = db.CloneWithSchema(&snapshot->ctx.schema());
   snapshot->version = version;
   snapshot->db.Freeze();
-  if (shards > 1) {
-    snapshot->sharded =
-        std::make_unique<ShardedDatabase>(snapshot->db, shards);
-  }
+  snapshot->shards = shards;
   return std::shared_ptr<const Snapshot>(std::move(snapshot));
 }
 

@@ -27,7 +27,6 @@
 #include "src/common/status.h"
 #include "src/relational/database.h"
 #include "src/relational/rdf.h"
-#include "src/relational/sharded.h"
 
 namespace wdpt::server {
 
@@ -42,31 +41,29 @@ struct Snapshot {
   /// a replaced snapshot can never be served again — invalidation by
   /// construction, no flush needed on RELOAD.
   uint64_t version = 0;
-  /// Hash-partitioned view over `db` for the engine's scatter-gather
-  /// enumeration path; null when the snapshot was built with one shard.
-  /// Built (and its per-shard indexes warmed) at load time, so it is
-  /// preserved — and stays warm — across RELOAD swaps: every reload
-  /// rebuilds it with the same shard count before publication.
-  std::unique_ptr<ShardedDatabase> sharded;
+  /// Scatter tasks for enumeration over this snapshot: ExecuteQuery
+  /// copies it into CallOptions::shards (docs/ENGINE.md, "Sharded
+  /// evaluation"). The tasks all read `db`; no fact is stored twice.
+  /// Every reload is built with the server's count, so it carries
+  /// across RELOAD swaps.
+  size_t shards = 1;
 
   Snapshot() : db(ctx.MakeDatabase()) {}
-  // db holds a pointer into ctx's schema (and sharded points back at
-  // db): pin the whole bundle in place.
+  // db holds a pointer into ctx's schema: pin the bundle in place.
   Snapshot(const Snapshot&) = delete;
   Snapshot& operator=(const Snapshot&) = delete;
 };
 
 /// Parses whitespace-separated triples (one per line, '#' comments)
-/// into a fresh snapshot and warms every column index. With shards > 1
-/// the snapshot also carries a ShardedDatabase partitioned that many
-/// ways (shards <= 1 leaves Snapshot::sharded null).
+/// into a fresh snapshot and warms every column index. `shards` is
+/// stored as Snapshot::shards.
 Result<std::shared_ptr<const Snapshot>> LoadSnapshot(
     std::string_view triples, uint64_t version, size_t shards = 1);
 
 /// Builds a snapshot from an already-materialized (context, database)
 /// pair — the storage layer's publish path: the pair is deep-copied
 /// into the snapshot (the copy's schema pointer rebound to the copied
-/// context), indexes warmed, and shards rebuilt, exactly like a text
+/// context), indexes warmed, and `shards` stored, exactly like a text
 /// load. The source pair stays untouched and mutable.
 Result<std::shared_ptr<const Snapshot>> MakeSnapshot(const RdfContext& ctx,
                                                      const Database& db,

@@ -7,8 +7,8 @@
 // loads the snapshot file, replays the WAL over it (truncating any torn
 // tail), and publishes the result; every successful Ingest appends one
 // WAL entry (the ack point), applies the batch, and publishes a fresh
-// immutable server::Snapshot — re-warmed indexes, re-partitioned
-// shards, bumped version/answer-cache generation — through the same
+// immutable server::Snapshot — re-warmed indexes, the configured shard
+// count, bumped version/answer-cache generation — through the same
 // SnapshotHolder hot-swap path a RELOAD uses, so readers switch
 // atomically and never see half a batch. Checkpoint() compacts the WAL
 // into snapshot.NNN+1 with write-temp → fsync → rename → fsync-dir

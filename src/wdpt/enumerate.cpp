@@ -1,6 +1,7 @@
 #include "src/wdpt/enumerate.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -151,7 +152,8 @@ class ProjectedEvaluator {
  public:
   ProjectedEvaluator(const PatternTree& tree, const Database& db,
                      const EnumerationLimits& limits,
-                     const std::vector<Mapping>* root_seeds = nullptr)
+                     std::optional<std::span<const Mapping>> root_seeds =
+                         std::nullopt)
       : tree_(tree),
         db_(db),
         limits_(limits),
@@ -160,7 +162,7 @@ class ProjectedEvaluator {
 
   Result<std::vector<Mapping>> Run() {
     std::vector<Mapping> answers;
-    if (root_seeds_ == nullptr) {
+    if (!root_seeds_.has_value()) {
       std::optional<std::vector<Mapping>> root =
           Completions(PatternTree::kRoot, Mapping());
       Status terminal = TerminalStatus();
@@ -275,7 +277,7 @@ class ProjectedEvaluator {
   const PatternTree& tree_;
   const Database& db_;
   EnumerationLimits limits_;
-  const std::vector<Mapping>* root_seeds_;
+  std::optional<std::span<const Mapping>> root_seeds_;
   std::vector<std::unordered_map<Mapping,
                                  std::optional<std::vector<Mapping>>,
                                  MappingHash>>
@@ -299,12 +301,12 @@ Result<std::vector<Mapping>> EvaluateWdptProjected(
 
 Result<std::vector<Mapping>> EvaluateWdptProjectedSeeded(
     const PatternTree& tree, const Database& db,
-    const std::vector<Mapping>& root_seeds,
+    std::span<const Mapping> root_seeds,
     const EnumerationLimits& limits) {
   if (!tree.validated()) {
     return Status::InvalidArgument("pattern tree must be validated");
   }
-  ProjectedEvaluator evaluator(tree, db, limits, &root_seeds);
+  ProjectedEvaluator evaluator(tree, db, limits, root_seeds);
   return evaluator.Run();
 }
 
@@ -319,12 +321,19 @@ Result<std::vector<Mapping>> EvaluateWdptMaximal(
     const EnumerationLimits& limits) {
   Result<std::vector<Mapping>> answers = EvaluateWdpt(tree, db, limits);
   if (!answers.ok()) return answers.status();
-  return MaximalMappings(*answers);
+  std::vector<Mapping> maximal = MaximalMappings(*answers, limits.cancel);
+  Status stopped = StatusFromToken(limits.cancel);
+  if (!stopped.ok()) return stopped;
+  return maximal;
 }
 
-std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings) {
+std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings,
+                                     const CancelToken& cancel) {
   std::vector<Mapping> maximal;
   for (size_t i = 0; i < mappings.size(); ++i) {
+    // Poll cancellation every 1024 outer iterations (a ShouldStop reads
+    // the clock); each iteration already scans every mapping.
+    if (cancel.valid() && (i & 0x3FF) == 0 && cancel.ShouldStop()) break;
     bool dominated = false;
     for (size_t j = 0; j < mappings.size() && !dominated; ++j) {
       if (i != j && mappings[i].IsStrictlySubsumedBy(mappings[j])) {

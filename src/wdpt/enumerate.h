@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "src/common/cancellation.h"
@@ -74,17 +75,15 @@ Result<std::vector<Mapping>> EvaluateWdptByFullEnumeration(
 /// maximal homomorphisms whose root extension is compatible with one of
 /// `root_seeds` (each seed is pre-bound before the root-label search, so
 /// the search only completes it). The engine obtains the seeds by
-/// matching one root-label atom against a single shard
-/// (src/relational/sharded.h); because a fact lives in exactly one
-/// shard, the per-shard seed sets partition the root homomorphisms and
-/// the union of the per-shard results over a partition's seeds equals
-/// EvaluateWdptProjected on the full database. Results are sorted; the
-/// union across shards may still contain duplicates (two root
-/// homomorphisms with different seeds can project to one answer), so
-/// the gather side deduplicates.
+/// matching one root-label atom against `db` and splitting the matches
+/// into chunks; every root homomorphism extends exactly one match, so
+/// the union of the per-chunk results equals EvaluateWdptProjected on
+/// `db`. Results are sorted; the union across chunks may still contain
+/// duplicates (two root homomorphisms with different seeds can project
+/// to one answer), so the gather side deduplicates.
 Result<std::vector<Mapping>> EvaluateWdptProjectedSeeded(
     const PatternTree& tree, const Database& db,
-    const std::vector<Mapping>& root_seeds,
+    std::span<const Mapping> root_seeds,
     const EnumerationLimits& limits = EnumerationLimits());
 
 /// p_m(D): the subsumption-maximal elements of p(D) (Section 3.4).
@@ -92,8 +91,11 @@ Result<std::vector<Mapping>> EvaluateWdptMaximal(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits = EnumerationLimits());
 
-/// Filters the subsumption-maximal mappings out of `mappings`.
-std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings);
+/// Filters the subsumption-maximal mappings out of `mappings`. Polls
+/// `cancel` and stops early once it fires; the result is then partial,
+/// so callers turn a fired token into its status (StatusFromToken).
+std::vector<Mapping> MaximalMappings(const std::vector<Mapping>& mappings,
+                                     const CancelToken& cancel = CancelToken());
 
 }  // namespace wdpt
 

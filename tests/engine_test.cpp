@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/engine/engine.h"
 #include "src/gen/db_gen.h"
 #include "src/gen/wdpt_gen.h"
@@ -233,6 +234,34 @@ TEST(EngineDeadline, BatchReportsFirstFailureInIndexOrder) {
   Result<std::vector<bool>> batch = engine.EvalBatch(tree, db, hs, options);
   ASSERT_FALSE(batch.ok());
   EXPECT_EQ(batch.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(EngineDeadline, MaximalFilterHonorsDeadline) {
+  // Fig. 1 at 4,000 bands has ~12,800 answers: p(D) takes ~60-80 ms
+  // (x86-64, RelWithDebInfo), the all-pairs maximality filter ~1.6 s.
+  // A 400 ms deadline therefore fires inside the filter and must yield
+  // kDeadlineExceeded — not the complete answer delivered late, and
+  // nothing cached. (Slower builds may fire during p(D) instead; the
+  // outcome is the same.)
+  bench::Fig1Instance inst(/*num_bands=*/4000);
+  EngineOptions eng_opts;
+  eng_opts.answer_cache_bytes = 64 << 20;
+  Engine engine(eng_opts);
+  CallOptions options;
+  options.semantics = EvalSemantics::kMaximal;
+  options.deadline = std::chrono::milliseconds(400);
+  options.cache.generation = 1;
+  for (size_t shards : {1u, 4u}) {
+    options.shards = shards;
+    Result<std::vector<Mapping>> answers =
+        engine.Enumerate(inst.tree, inst.db, options);
+    ASSERT_FALSE(answers.ok()) << "shards=" << shards << ": "
+                               << answers->size() << " answers";
+    EXPECT_EQ(answers.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.deadline_exceeded, 2u);
+  EXPECT_EQ(stats.answer_cache_inserts, 0u);
 }
 
 TEST(EngineCancellation, PreCancelledTokenReturnsCancelled) {

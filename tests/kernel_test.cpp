@@ -32,7 +32,6 @@
 #include "src/gen/db_gen.h"
 #include "src/gen/wdpt_gen.h"
 #include "src/relational/database.h"
-#include "src/relational/sharded.h"
 #include "src/wdpt/enumerate.h"
 
 namespace wdpt {
@@ -535,11 +534,10 @@ class EngineOracleTest : public ::testing::TestWithParam<EngineOracleParam> {
     CallOptions options;
     options.semantics = semantics;
     if (cache) options.cache.generation = 1;
-    ShardedDatabase sharded(db, shards);
+    options.shards = shards;
     // With the cache on, the second round is served from it.
     for (int round = 0; round < 2; ++round) {
-      Result<std::vector<Mapping>> got =
-          engine.Enumerate(tree, sharded, options);
+      Result<std::vector<Mapping>> got = engine.Enumerate(tree, db, options);
       ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
       // Enumerate's contract is the canonical sorted order, so equality
       // here is bit-identity, not just same-set.
@@ -585,9 +583,10 @@ TEST(WdptDifferentialTest, Fig1AnswersIdenticalAcrossKernels) {
   Result<std::vector<Mapping>> direct =
       EvaluateWdpt(instance.tree, instance.db);
   Engine engine;
-  ShardedDatabase sharded(instance.db, /*num_shards=*/4);
+  CallOptions sharded;
+  sharded.shards = 4;
   Result<std::vector<Mapping>> engine_answers =
-      engine.Enumerate(instance.tree, sharded, CallOptions());
+      engine.Enumerate(instance.tree, instance.db, sharded);
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   ASSERT_TRUE(engine_answers.ok()) << engine_answers.status().ToString();

@@ -1,24 +1,29 @@
 // Differential tests for sharded scatter-gather enumeration: for every
-// workload and shard count, Engine::Enumerate over a ShardedDatabase
+// workload and shard count, Engine::Enumerate with CallOptions::shards
 // must return a vector bit-identical to unsharded enumeration — the
-// soundness contract documented in src/relational/sharded.h. Workloads
-// cover the Figure 1 running example, generated music catalogs, random
-// chain WDPTs over random graphs, and the Proposition 3
-// three-colorability reduction; edge cases cover the empty database,
-// one shard, more shards than tuples (so some shards are empty), and
-// the determinism/partition properties of ShardOfTuple itself.
+// soundness contract documented in docs/ENGINE.md ("Sharded
+// evaluation"). Workloads cover the Figure 1 running example, generated
+// music catalogs, random chain WDPTs over random graphs, and the
+// Proposition 3 three-colorability reduction; edge cases cover the empty
+// database, an empty seed relation, more tasks than seed matches, the
+// 0/1 shard counts that take the plain path, Eval/EvalBatch (which
+// ignore the field), and a token that fires during the seed scan.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <span>
+#include <unordered_set>
 #include <vector>
 
+#include "src/cq/homomorphism.h"
 #include "src/engine/engine.h"
 #include "src/gen/db_gen.h"
 #include "src/gen/reductions.h"
 #include "src/gen/wdpt_gen.h"
 #include "src/relational/rdf.h"
-#include "src/relational/sharded.h"
 #include "src/wdpt/enumerate.h"
 
 namespace wdpt {
@@ -42,6 +47,12 @@ PatternTree MakeFigure1Tree(RdfContext* ctx) {
   return tree;
 }
 
+CallOptions WithShards(size_t shards) {
+  CallOptions options;
+  options.shards = shards;
+  return options;
+}
+
 // Asserts the core contract on one instance: sharded == unsharded,
 // bit-for-bit, under both p(D) and p_m(D), for each shard count.
 void ExpectShardedMatchesUnsharded(const PatternTree& tree,
@@ -53,80 +64,19 @@ void ExpectShardedMatchesUnsharded(const PatternTree& tree,
     CallOptions options;
     options.semantics =
         maximal ? EvalSemantics::kMaximal : EvalSemantics::kStandard;
+    options.shards = 1;
     Result<std::vector<Mapping>> unsharded =
         engine.Enumerate(tree, db, options);
     ASSERT_TRUE(unsharded.ok()) << unsharded.status().ToString();
     for (size_t n : shard_counts) {
-      ShardedDatabase sharded(db, n);
+      options.shards = n;
       Result<std::vector<Mapping>> answers =
-          engine.Enumerate(tree, sharded, options);
+          engine.Enumerate(tree, db, options);
       ASSERT_TRUE(answers.ok()) << answers.status().ToString();
       EXPECT_EQ(*answers, *unsharded)
           << "shards=" << n << " maximal=" << maximal;
     }
   }
-}
-
-TEST(ShardOfTuple, IsDeterministicAndInRange) {
-  std::vector<ConstantId> tuple = {3, 141, 59};
-  for (size_t n : {1u, 2u, 5u, 16u}) {
-    size_t first = ShardedDatabase::ShardOfTuple(2, tuple, n);
-    EXPECT_LT(first, n);
-    EXPECT_EQ(first, ShardedDatabase::ShardOfTuple(2, tuple, n));
-  }
-  // One shard is always shard 0, whatever the tuple.
-  EXPECT_EQ(ShardedDatabase::ShardOfTuple(7, tuple, 1), 0u);
-}
-
-TEST(ShardOfTuple, DependsOnRelationAndConstants) {
-  // Not a collision-freeness guarantee — just that both inputs feed the
-  // hash, checked on values known to land in different buckets.
-  std::vector<ConstantId> a = {1, 2};
-  std::vector<ConstantId> b = {2, 1};
-  bool differs = false;
-  for (size_t n = 2; n <= 16 && !differs; ++n) {
-    differs = ShardedDatabase::ShardOfTuple(0, a, n) !=
-                  ShardedDatabase::ShardOfTuple(0, b, n) ||
-              ShardedDatabase::ShardOfTuple(0, a, n) !=
-                  ShardedDatabase::ShardOfTuple(1, a, n);
-  }
-  EXPECT_TRUE(differs);
-}
-
-TEST(ShardedDatabase, PartitionIsCompleteAndDisjoint) {
-  RdfContext ctx;
-  gen::MusicCatalogOptions options;
-  options.num_bands = 40;
-  Database db = gen::MakeMusicCatalog(&ctx, options);
-  const size_t n = 5;
-  ShardedDatabase sharded(db, n);
-  ASSERT_EQ(sharded.num_shards(), n);
-
-  // Every fact is in exactly the shard ShardOfTuple names, and the
-  // shard sizes add up to the full database — together: a partition.
-  size_t total = 0;
-  for (size_t s = 0; s < n; ++s) total += sharded.shard(s).TotalFacts();
-  EXPECT_EQ(total, db.TotalFacts());
-
-  const Schema& schema = db.schema();
-  for (RelationId rel = 0;
-       rel < static_cast<RelationId>(schema.num_relations()); ++rel) {
-    const Relation& relation = db.relation(rel);
-    for (size_t row = 0; row < relation.size(); ++row) {
-      std::span<const ConstantId> tuple = relation.Tuple(row);
-      size_t home = ShardedDatabase::ShardOfTuple(rel, tuple, n);
-      for (size_t s = 0; s < n; ++s) {
-        EXPECT_EQ(sharded.shard(s).ContainsFact(rel, tuple), s == home);
-      }
-    }
-  }
-}
-
-TEST(ShardedDatabase, ZeroShardsClampsToOne) {
-  RdfContext ctx;
-  Database db = ctx.MakeDatabase();
-  ShardedDatabase sharded(db, 0);
-  EXPECT_EQ(sharded.num_shards(), 1u);
 }
 
 TEST(ShardedEnumerate, Figure1ExampleMatchesUnsharded) {
@@ -198,12 +148,76 @@ TEST(ShardedEnumerate, EmptyDatabaseAndEmptyShards) {
   // Empty database: no seeds anywhere, empty answer set.
   ExpectShardedMatchesUnsharded(tree, empty, {1, 2, 4});
 
-  // More shards than tuples: most shards hold nothing, and their seed
-  // scans must contribute nothing (not wrong answers).
+  // More tasks than seed matches: most chunks are empty, and their
+  // tasks must contribute nothing (not wrong answers).
   Database tiny = ctx.MakeDatabase();
   ctx.AddTriple(&tiny, "Swim", "recorded_by", "Caribou");
   ctx.AddTriple(&tiny, "Swim", "published", "after_2010");
   ExpectShardedMatchesUnsharded(tree, tiny, {1, 8, 64});
+}
+
+TEST(ShardedEnumerate, MoreTasksThanSeedMatches) {
+  RdfContext ctx;
+  PatternTree tree = MakeFigure1Tree(&ctx);
+  Engine engine;
+
+  // Two seed matches, eight tasks: every task runs (six on an empty
+  // chunk) and the gather still returns exactly the plain answers.
+  Database two = ctx.MakeDatabase();
+  for (const char* rec : {"Swim", "Our_love"}) {
+    ctx.AddTriple(&two, rec, "recorded_by", "Caribou");
+    ctx.AddTriple(&two, rec, "published", "after_2010");
+  }
+  ctx.AddTriple(&two, "Swim", "NME_rating", "2");
+  Result<std::vector<Mapping>> plain = engine.Enumerate(tree, two);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_EQ(plain->size(), 2u);
+  engine.ResetStats();
+  Result<std::vector<Mapping>> scattered =
+      engine.Enumerate(tree, two, WithShards(8));
+  ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
+  EXPECT_EQ(*scattered, *plain);
+  EXPECT_EQ(engine.stats().shard_tasks, 8u);
+  EXPECT_EQ(engine.stats().sharded_fallbacks, 0u);
+
+  // An empty seed relation next to non-empty ones: the seed scan finds
+  // nothing, every chunk is empty, and the answer set is empty.
+  Database no_roots = ctx.MakeDatabase();
+  ctx.AddTriple(&no_roots, "Swim", "NME_rating", "2");
+  ctx.AddTriple(&no_roots, "Caribou", "formed_in", "2000");
+  engine.ResetStats();
+  for (EvalSemantics semantics :
+       {EvalSemantics::kStandard, EvalSemantics::kMaximal}) {
+    CallOptions options = WithShards(4);
+    options.semantics = semantics;
+    Result<std::vector<Mapping>> none =
+        engine.Enumerate(tree, no_roots, options);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_TRUE(none->empty());
+  }
+  EXPECT_EQ(engine.stats().shard_tasks, 8u);
+}
+
+TEST(ShardedEnumerate, ZeroShardsClampsToOne) {
+  // shards = 0 means one plain run, exactly like shards = 1: same
+  // answers, and no sharded counter moves.
+  RdfContext ctx;
+  gen::MusicCatalogOptions options;
+  options.num_bands = 10;
+  Database db = gen::MakeMusicCatalog(&ctx, options);
+  PatternTree tree = MakeFigure1Tree(&ctx);
+  Engine engine;
+  Result<std::vector<Mapping>> one = engine.Enumerate(tree, db, WithShards(1));
+  Result<std::vector<Mapping>> zero =
+      engine.Enumerate(tree, db, WithShards(0));
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(*zero, *one);
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.enumerate_calls, 2u);
+  EXPECT_EQ(stats.sharded_enumerate_calls, 0u);
+  EXPECT_EQ(stats.sharded_fallbacks, 0u);
+  EXPECT_EQ(stats.shard_tasks, 0u);
 }
 
 TEST(ShardedEnumerate, SingleShardUsesFallbackPath) {
@@ -213,45 +227,71 @@ TEST(ShardedEnumerate, SingleShardUsesFallbackPath) {
   Database db = gen::MakeMusicCatalog(&ctx, options);
   PatternTree tree = MakeFigure1Tree(&ctx);
   Engine engine;
-  ShardedDatabase one(db, 1);
-  Result<std::vector<Mapping>> answers = engine.Enumerate(tree, one);
+  // One shard is the plain run, not a sharded call.
+  Result<std::vector<Mapping>> answers =
+      engine.Enumerate(tree, db, WithShards(1));
   ASSERT_TRUE(answers.ok());
   EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.sharded_enumerate_calls, 1u);
-  EXPECT_EQ(stats.sharded_fallbacks, 1u);
+  EXPECT_EQ(stats.sharded_enumerate_calls, 0u);
+  EXPECT_EQ(stats.sharded_fallbacks, 0u);
   EXPECT_EQ(stats.shard_tasks, 0u);
 
   // A real fan-out records one task per shard and no fallback.
   engine.ResetStats();
-  ShardedDatabase four(db, 4);
-  answers = engine.Enumerate(tree, four);
+  answers = engine.Enumerate(tree, db, WithShards(4));
   ASSERT_TRUE(answers.ok());
   stats = engine.stats();
   EXPECT_EQ(stats.sharded_enumerate_calls, 1u);
   EXPECT_EQ(stats.sharded_fallbacks, 0u);
   EXPECT_EQ(stats.shard_tasks, 4u);
+
+  // A root label with no seed atom (here: empty) runs plain, counted as
+  // a fallback.
+  PatternTree no_root_atoms;
+  no_root_atoms.AddChild(PatternTree::kRoot,
+                         {ctx.TriplePattern("?x", "NME_rating", "?z")});
+  ASSERT_TRUE(no_root_atoms.Validate().ok());
+  engine.ResetStats();
+  Result<std::vector<Mapping>> plain = engine.Enumerate(no_root_atoms, db);
+  Result<std::vector<Mapping>> fallback =
+      engine.Enumerate(no_root_atoms, db, WithShards(4));
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(fallback.ok());
+  EXPECT_EQ(*fallback, *plain);
+  stats = engine.stats();
+  EXPECT_EQ(stats.sharded_enumerate_calls, 1u);
+  EXPECT_EQ(stats.sharded_fallbacks, 1u);
+  EXPECT_EQ(stats.shard_tasks, 0u);
 }
 
 TEST(ShardedEnumerate, EvalAndBatchRouteToFullView) {
+  // Eval and EvalBatch ignore CallOptions::shards: a candidate check is
+  // one global homomorphism problem, and a batch already fans out
+  // across candidates.
   RdfContext ctx;
   gen::MusicCatalogOptions options;
   options.num_bands = 10;
   Database db = gen::MakeMusicCatalog(&ctx, options);
   PatternTree tree = MakeFigure1Tree(&ctx);
   Engine engine;
-  ShardedDatabase sharded(db, 3);
   Result<std::vector<Mapping>> answers = engine.Enumerate(tree, db);
   ASSERT_TRUE(answers.ok());
   ASSERT_FALSE(answers->empty());
   const Mapping& h = answers->front();
+  engine.ResetStats();
   Result<bool> direct = engine.Eval(tree, db, h);
-  Result<bool> via_sharded = engine.Eval(tree, sharded, h);
+  Result<bool> with_shards = engine.Eval(tree, db, h, WithShards(3));
   ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(via_sharded.ok());
-  EXPECT_EQ(*direct, *via_sharded);
-  Result<std::vector<bool>> batch = engine.EvalBatch(tree, sharded, *answers);
+  ASSERT_TRUE(with_shards.ok());
+  EXPECT_EQ(*direct, *with_shards);
+  Result<std::vector<bool>> batch =
+      engine.EvalBatch(tree, db, *answers, WithShards(3));
   ASSERT_TRUE(batch.ok());
   for (bool b : *batch) EXPECT_TRUE(b);
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.sharded_enumerate_calls, 0u);
+  EXPECT_EQ(stats.sharded_fallbacks, 0u);
+  EXPECT_EQ(stats.shard_tasks, 0u);
 }
 
 TEST(ShardedEnumerate, TraceRecordsFanoutAndShardSpans) {
@@ -261,26 +301,60 @@ TEST(ShardedEnumerate, TraceRecordsFanoutAndShardSpans) {
   Database db = gen::MakeMusicCatalog(&ctx, options);
   PatternTree tree = MakeFigure1Tree(&ctx);
   Engine engine;
-  ShardedDatabase sharded(db, 3);
   Trace trace(/*request_id=*/42);
-  CallOptions opts;
+  CallOptions opts = WithShards(3);
   opts.trace = &trace;
-  ASSERT_TRUE(engine.Enumerate(tree, sharded, opts).ok());
+  ASSERT_TRUE(engine.Enumerate(tree, db, opts).ok());
   EXPECT_EQ(trace.shard_fanout(), 3u);
   EXPECT_EQ(trace.shard_spans_ns().size(), 3u);
 
   // The unsharded path leaves the shard fields untouched.
   Trace unsharded_trace;
   opts.trace = &unsharded_trace;
+  opts.shards = 1;
   ASSERT_TRUE(engine.Enumerate(tree, db, opts).ok());
   EXPECT_EQ(unsharded_trace.shard_fanout(), 0u);
   EXPECT_TRUE(unsharded_trace.shard_spans_ns().empty());
 }
 
+TEST(ShardedEnumerate, TokenFiringDuringSeedScanYieldsNoAnswer) {
+  // A seed relation large enough that matching it outlasts a 1 ms
+  // deadline: the scan stops at its next poll and the call reports
+  // kDeadlineExceeded with no task started — never a partial answer.
+  // (On a slow host the deadline may already fire before the scan;
+  // the outcome asserted here is the same either way.)
+  Schema schema;
+  Vocabulary vocab;
+  RelationId edge_rel = 0;
+  gen::RandomGraphOptions graph;
+  graph.num_vertices = 2000;
+  graph.num_edges = 200000;
+  graph.seed = 5;
+  Database db = gen::MakeRandomGraphDb(&schema, &vocab, graph, &edge_rel);
+  db.WarmColumnIndexes();
+  gen::RandomWdptOptions shape;
+  shape.depth = 2;
+  shape.branching = 1;
+  shape.atoms_per_node = 2;
+  shape.seed = 5;
+  PatternTree tree = gen::MakeRandomChainWdpt(&schema, &vocab, shape);
+
+  Engine engine;
+  CallOptions options = WithShards(4);
+  options.deadline = std::chrono::milliseconds(1);
+  Result<std::vector<Mapping>> answers = engine.Enumerate(tree, db, options);
+  ASSERT_FALSE(answers.ok());
+  EXPECT_EQ(answers.status().code(), StatusCode::kDeadlineExceeded);
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.shard_tasks, 0u);
+  EXPECT_EQ(stats.deadline_exceeded, 1u);
+}
+
 TEST(ShardedEnumerate, SeededEvaluatorUnionEqualsFullEvaluation) {
-  // The building block underneath the engine: per-shard seed sets fed
-  // through EvaluateWdptProjectedSeeded union (after dedup) to exactly
-  // EvaluateWdptProjected on the full database.
+  // The building block underneath the engine: the root-atom matches,
+  // split into contiguous chunks and fed through
+  // EvaluateWdptProjectedSeeded, union (after dedup) to exactly
+  // EvaluateWdptProjected on the same database — for every chunk count.
   RdfContext ctx;
   gen::MusicCatalogOptions options;
   options.num_bands = 20;
@@ -288,11 +362,35 @@ TEST(ShardedEnumerate, SeededEvaluatorUnionEqualsFullEvaluation) {
   PatternTree tree = MakeFigure1Tree(&ctx);
   Result<std::vector<Mapping>> expected = EvaluateWdptProjected(tree, db);
   ASSERT_TRUE(expected.ok());
+  ASSERT_FALSE(expected->empty());
   // An empty seed set contributes nothing.
   Result<std::vector<Mapping>> none =
       EvaluateWdptProjectedSeeded(tree, db, {});
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
+
+  std::vector<Mapping> seeds;
+  ASSERT_TRUE(ForEachHomomorphism({tree.label(PatternTree::kRoot)[0]}, db,
+                                  Mapping(), [&seeds](const Mapping& m) {
+                                    seeds.push_back(m);
+                                    return true;
+                                  }));
+  ASSERT_FALSE(seeds.empty());
+  for (size_t chunks : {1u, 2u, 5u}) {
+    std::unordered_set<Mapping, MappingHash> merged;
+    for (size_t c = 0; c < chunks; ++c) {
+      std::span<const Mapping> chunk(
+          seeds.data() + c * seeds.size() / chunks,
+          seeds.data() + (c + 1) * seeds.size() / chunks);
+      Result<std::vector<Mapping>> part =
+          EvaluateWdptProjectedSeeded(tree, db, chunk);
+      ASSERT_TRUE(part.ok()) << part.status().ToString();
+      merged.insert(part->begin(), part->end());
+    }
+    std::vector<Mapping> got(merged.begin(), merged.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, *expected) << "chunks=" << chunks;
+  }
 }
 
 }  // namespace

@@ -14,7 +14,10 @@
 #      + two followers under fault injection, one replica killed and
 #      the primary restarted mid-load; zero mismatches and at least
 #      one observed resync required; see docs/REPLICATION.md);
-#   5. a join-kernel perf smoke: `bench_kernel --check` runs the
+#   5. a sharded loadgen smoke (`--shards 1,4`): every sharded row is
+#      checked bit-identical against local unsharded execution, so the
+#      scatter-gather path is tested over the wire;
+#   6. a join-kernel perf smoke: `bench_kernel --check` runs the
 #      flat kernel vs reference oracle differential gate on reduced
 #      instances and writes a benchmark JSON, which is then fed through
 #      tools/bench_compare.py (against itself — exercises the
@@ -25,9 +28,9 @@
 # picture; the script exits non-zero when any step failed.
 #
 # Usage: tools/run_tier1.sh [preset ...]
-#   With no arguments runs: default asan tsan, then both chaos smokes.
+#   With no arguments runs: default asan tsan, then the smokes.
 #   Pass a subset (e.g. `tools/run_tier1.sh default`) to run fewer
-#   presets; the chaos smokes run whenever the default preset is built.
+#   presets; the smokes run whenever the default preset is built.
 
 set -uo pipefail
 
@@ -73,6 +76,9 @@ for preset in "${presets[@]}"; do
     step "chaos smoke (replicas)" \
       ./build/tools/wdpt_loadgen --replicas 2 --chaos --chaos-seed 7 \
       --clients 4 --requests 30 --bands 40
+    step "sharded loadgen smoke" \
+      ./build/tools/wdpt_loadgen --shards 1,4 --clients 2 --requests 30 \
+      --bands 80
     step "perf smoke (flat kernel vs reference oracle)" \
       ./build/bench/bench_kernel --db-vertices 800 --reps 2 --check \
       --json build/BENCH_kernel_smoke.json

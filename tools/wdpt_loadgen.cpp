@@ -1160,8 +1160,8 @@ int main(int argc, char** argv) {
   }
 
   // Target: external server or in-process. A shard sweep restarts the
-  // in-process server per shard count; an external target cannot be
-  // re-sharded from here.
+  // in-process server per shard count; an external target's shard count
+  // cannot be changed from here.
   std::string host = "127.0.0.1";
   uint16_t external_port = 0;
   if (!connect.empty()) {

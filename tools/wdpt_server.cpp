@@ -16,9 +16,9 @@
 // holds whitespace-separated triples, one per line, '#' comments — the
 // same format wdpt_query reads. RELOAD swaps in a new dataset under
 // live traffic without pausing readers. --shards N (default 1)
-// hash-partitions each snapshot N ways and serves enumeration requests
-// through the engine's scatter-gather path (docs/ENGINE.md) — answers
-// are identical to the unsharded server. --cache-bytes N (default 0 =
+// scatters each enumeration request over N tasks on the engine pool
+// (docs/ENGINE.md, "Sharded evaluation") — answers are identical to
+// the unsharded server. --cache-bytes N (default 0 =
 // off) gives the engine an answer cache of N bytes: repeated identical
 // queries against the same snapshot are served from memory, reloads
 // and ingests invalidate by construction, and clients can opt out per
