@@ -31,7 +31,7 @@ enum class TraceStage : uint8_t {
   kQueueWait = 0,  ///< Admission to worker pickup (server only).
   kParse,          ///< Query text -> validated PatternTree.
   kPlanLookup,     ///< Plan-cache key + lookup.
-  kPlanBuild,      ///< Classification + decomposition on a cache miss.
+  kPlanBuild,      ///< Classification on a cache miss.
   kCacheLookup,    ///< Answer-cache key + lookup (includes any
                    ///< single-flight wait for an in-flight owner).
   kEval,           ///< Evaluation / enumeration proper.

@@ -480,10 +480,20 @@ std::vector<Mapping> EvaluateOverBags(
     for (uint32_t ai : atom_ids) bag_atoms.push_back(atoms[ai]);
     // Ensure every bag variable is mentioned by some bag atom (a bag may
     // hold interface variables whose atoms were assigned elsewhere, e.g.
-    // in decompositions glued from per-node pieces): add the first atom
-    // mentioning each uncovered variable.
+    // in glued or coverless decompositions): such a bag takes every atom
+    // lying inside it, then the first atom mentioning each variable still
+    // uncovered.
     {
       std::vector<VariableId> covered = VariablesOf(bag_atoms);
+      if (!SortedIsSubset(bags[bi].vars, covered)) {
+        for (uint32_t ai = 0; ai < atoms.size(); ++ai) {
+          if (!SortedContains(atom_ids, ai) &&
+              SortedIsSubset(atoms[ai].Variables(), bags[bi].vars)) {
+            bag_atoms.push_back(atoms[ai]);
+          }
+        }
+        covered = VariablesOf(bag_atoms);
+      }
       for (VariableId v : bags[bi].vars) {
         if (SortedContains(covered, v)) continue;
         bool found = false;
@@ -778,59 +788,65 @@ std::optional<std::vector<Mapping>> EvaluateAcyclic(const ConjunctiveQuery& q,
                           q.free_vars, max_answers, cancel);
 }
 
+namespace {
+
+// Widest GHD probed before the ladder gives up on a bounded-width plan.
+constexpr int kMaxAutoWidth = 3;
+
+// The one CQ strategy ladder (Theorems 2 and 3), shared by EvaluateCq and
+// DecideNonEmpty: acyclic -> Yannakakis over the join tree; else a GHD of
+// width 2..kMaxAutoWidth; else, when kDecomposition is asked for, a
+// min-fill tree decomposition of the primal graph (correct, possibly
+// slow); else backtracking. Returns at most `max_answers` answers
+// (0 = all).
+std::vector<Mapping> RunStrategyLadder(const ConjunctiveQuery& q,
+                                       const Database& db,
+                                       CqEvalStrategy strategy,
+                                       uint64_t max_answers,
+                                       const CancelToken& cancel) {
+  if (strategy != CqEvalStrategy::kBacktracking) {
+    std::optional<std::vector<Mapping>> acyclic =
+        EvaluateAcyclic(q, db, max_answers, cancel);
+    if (acyclic.has_value()) return std::move(*acyclic);
+    std::vector<VariableId> vertex_to_var;
+    Hypergraph h = q.BuildHypergraph(&vertex_to_var);
+    if (h.num_vertices <= kMaxExactVertices) {
+      for (int k = 2; k <= kMaxAutoWidth; ++k) {
+        std::optional<HypertreeDecomposition> hd =
+            FindHypertreeDecomposition(h, k);
+        if (hd.has_value()) {
+          return EvaluateWithDecomposition(q, db, *hd, vertex_to_var,
+                                           max_answers, cancel);
+        }
+      }
+    }
+    if (strategy == CqEvalStrategy::kDecomposition) {
+      HypertreeDecomposition hd;
+      TreewidthUpperBound(h.ToPrimalGraph(), &hd.td);
+      hd.covers.assign(hd.td.bags.size(), {});
+      return EvaluateWithDecomposition(q, db, hd, vertex_to_var, max_answers,
+                                       cancel);
+    }
+  }
+  std::vector<Atom> with_vars;
+  if (!CheckAndStripGroundAtoms(q.atoms, db, &with_vars)) return {};
+  if (with_vars.empty()) return {Mapping()};
+  HomSearchLimits hom_limits;
+  hom_limits.cancel = cancel;
+  return AllHomomorphismProjections(with_vars, db, Mapping(), q.free_vars,
+                                    max_answers, hom_limits);
+}
+
+}  // namespace
+
 bool DecideNonEmpty(const std::vector<Atom>& atoms, const Database& db,
                     const Mapping& seed, const CqEvalOptions& options) {
   if (options.cancel.valid() && options.cancel.ShouldStop()) return false;
-  HomSearchLimits hom_limits;
-  hom_limits.cancel = options.cancel;
-  std::vector<Atom> substituted = SubstituteMapping(atoms, seed);
   ConjunctiveQuery boolean_q;
-  boolean_q.atoms = std::move(substituted);
-
-  if (options.strategy == CqEvalStrategy::kBacktracking) {
-    std::vector<Atom> with_vars;
-    if (!CheckAndStripGroundAtoms(boolean_q.atoms, db, &with_vars)) {
-      return false;
-    }
-    return HomomorphismExists(with_vars, db, Mapping(), hom_limits);
-  }
-
-  std::optional<std::vector<Mapping>> acyclic =
-      EvaluateAcyclic(boolean_q, db, /*max_answers=*/1, options.cancel);
-  if (acyclic.has_value()) return !acyclic->empty();
-
-  std::vector<VariableId> vertex_to_var;
-  Hypergraph h = boolean_q.BuildHypergraph(&vertex_to_var);
-  if (h.num_vertices <= kMaxExactVertices) {
-    for (int k = 2; k <= options.max_auto_width; ++k) {
-      std::optional<HypertreeDecomposition> hd =
-          FindHypertreeDecomposition(h, k);
-      if (hd.has_value()) {
-        return !EvaluateWithDecomposition(boolean_q, db, *hd, vertex_to_var,
-                                          /*max_answers=*/1, options.cancel)
-                    .empty();
-      }
-    }
-  }
-  if (options.strategy == CqEvalStrategy::kDecomposition) {
-    // Width exceeded the probe bound; use the widest decomposition found
-    // via min-fill over the primal graph (still correct, possibly slow).
-    Graph primal = h.ToPrimalGraph();
-    TreeDecomposition td;
-    TreewidthUpperBound(primal, &td);
-    HypertreeDecomposition hd;
-    hd.td = std::move(td);
-    hd.covers.assign(hd.td.bags.size(), {});
-    return !EvaluateWithDecomposition(boolean_q, db, hd, vertex_to_var,
-                                      /*max_answers=*/1, options.cancel)
-                .empty();
-  }
-  // kAuto fallback.
-  std::vector<Atom> with_vars;
-  if (!CheckAndStripGroundAtoms(boolean_q.atoms, db, &with_vars)) {
-    return false;
-  }
-  return HomomorphismExists(with_vars, db, Mapping(), hom_limits);
+  boolean_q.atoms = SubstituteMapping(atoms, seed);
+  return !RunStrategyLadder(boolean_q, db, options.strategy,
+                            /*max_answers=*/1, options.cancel)
+              .empty();
 }
 
 bool CqEval(const ConjunctiveQuery& q, const Database& db, const Mapping& h,
@@ -843,31 +859,8 @@ bool CqEval(const ConjunctiveQuery& q, const Database& db, const Mapping& h,
 std::vector<Mapping> EvaluateCq(const ConjunctiveQuery& q, const Database& db,
                                 const CqEvalOptions& options) {
   WDPT_CHECK(q.IsSafe());
-  if (options.strategy != CqEvalStrategy::kBacktracking) {
-    std::optional<std::vector<Mapping>> acyclic =
-        EvaluateAcyclic(q, db, options.max_answers, options.cancel);
-    if (acyclic.has_value()) return std::move(*acyclic);
-    std::vector<VariableId> vertex_to_var;
-    Hypergraph hypergraph = q.BuildHypergraph(&vertex_to_var);
-    if (hypergraph.num_vertices <= kMaxExactVertices) {
-      for (int k = 2; k <= options.max_auto_width; ++k) {
-        std::optional<HypertreeDecomposition> hd =
-            FindHypertreeDecomposition(hypergraph, k);
-        if (hd.has_value()) {
-          return EvaluateWithDecomposition(q, db, *hd, vertex_to_var,
-                                           options.max_answers,
-                                           options.cancel);
-        }
-      }
-    }
-  }
-  std::vector<Atom> with_vars;
-  if (!CheckAndStripGroundAtoms(q.atoms, db, &with_vars)) return {};
-  if (with_vars.empty()) return {Mapping()};
-  HomSearchLimits hom_limits;
-  hom_limits.cancel = options.cancel;
-  return AllHomomorphismProjections(with_vars, db, Mapping(), q.free_vars,
-                                    options.max_answers, hom_limits);
+  return RunStrategyLadder(q, db, options.strategy, /*max_answers=*/0,
+                           options.cancel);
 }
 
 }  // namespace wdpt

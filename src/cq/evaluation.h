@@ -5,11 +5,15 @@
 // paper: CQ-EVAL(TW(k)) and CQ-EVAL(HW(k)) run in polynomial time for
 // fixed k (the LOGCFL refinement is a parallel-complexity statement; the
 // observable consequence is the polynomial data complexity demonstrated
-// in the benches). Acyclic and decomposition evaluation share one join
-// kernel: statistics-ordered flat hash joins over the CSR column indexes,
-// a semijoin full reducer, then enumeration. kBacktracking follows the
-// CQ definition directly and is the reference oracle the kernel is
-// tested against (tests/kernel_test.cpp).
+// in the benches). EvaluateCq and DecideNonEmpty share one strategy
+// ladder: acyclic -> Yannakakis; else a GHD of width 2..3; else, under
+// kDecomposition, a min-fill tree decomposition; else backtracking.
+// DecideNonEmpty applies its seed and stops at the first answer.
+// Acyclic and decomposition evaluation share one join kernel:
+// statistics-ordered flat hash joins over the CSR column indexes, a
+// semijoin full reducer, then enumeration. kBacktracking follows the CQ
+// definition directly and is the reference oracle the kernel is tested
+// against (tests/kernel_test.cpp).
 
 #ifndef WDPT_SRC_CQ_EVALUATION_H_
 #define WDPT_SRC_CQ_EVALUATION_H_
@@ -26,22 +30,19 @@
 
 namespace wdpt {
 
-/// Evaluation strategies for DecideNonEmpty / Evaluate.
+/// Evaluation strategies for DecideNonEmpty / EvaluateCq.
 enum class CqEvalStrategy {
   kBacktracking,   ///< Plain backtracking join (exponential worst case).
-  kDecomposition,  ///< GHD-based: join per bag, then Yannakakis.
-  kAuto,           ///< Acyclic -> Yannakakis; else GHD if cheap; else
-                   ///< backtracking.
+  kDecomposition,  ///< Decomposition-based: join per bag, then
+                   ///< Yannakakis; a min-fill tree decomposition when no
+                   ///< GHD of width <= 3 exists.
+  kAuto,           ///< Acyclic -> Yannakakis; else GHD of width <= 3;
+                   ///< else backtracking.
 };
 
 /// Options for CQ evaluation.
 struct CqEvalOptions {
   CqEvalStrategy strategy = CqEvalStrategy::kAuto;
-  /// Maximum generalized hypertree width probed by kAuto before falling
-  /// back to backtracking.
-  int max_auto_width = 3;
-  /// Cap on returned answers (0 = unlimited).
-  uint64_t max_answers = 0;
   /// Cooperative cancellation/deadline token, polled at safe points of
   /// every evaluation strategy. When it fires, the boolean deciders
   /// return false and the enumerators return what they had — callers that

@@ -36,22 +36,17 @@ uint64_t ElapsedNs(Clock::time_point start) {
 // the most facts (its matches split into the most even chunks), ties
 // broken by label position. Nullary atoms are skipped: one has at most
 // one match, which no split can spread. Ground atoms of arity >= 1 are
-// fine. Returns false when no atom qualifies.
-bool PickSeedAtom(const PatternTree& tree, const Database& db,
-                  size_t* seed_index) {
+// fine. Returns nullopt when no atom qualifies.
+std::optional<size_t> PickSeedAtom(const PatternTree& tree,
+                                   const Database& db) {
   const std::vector<Atom>& label = tree.label(PatternTree::kRoot);
-  bool found = false;
-  size_t best_size = 0;
+  auto facts = [&](size_t i) { return db.relation(label[i].relation).size(); };
+  std::optional<size_t> best;
   for (size_t i = 0; i < label.size(); ++i) {
     if (db.schema().Arity(label[i].relation) == 0) continue;
-    size_t size = db.relation(label[i].relation).size();
-    if (!found || size > best_size) {
-      found = true;
-      *seed_index = i;
-      best_size = size;
-    }
+    if (!best.has_value() || facts(i) > facts(*best)) best = i;
   }
-  return found;
+  return best;
 }
 
 }  // namespace
@@ -165,7 +160,7 @@ Result<bool> Engine::EvalWithPlan(const Plan& plan, const Database& db,
                         h, options.cache.generation);
   };
   auto evaluate = [&]() -> Result<AnswerCache::Value> {
-    CqEvalOptions cq = options.cq;
+    CqEvalOptions cq;
     cq.cancel = token;
     Result<bool> verdict = false;
     switch (options.semantics) {
@@ -301,12 +296,11 @@ Result<std::vector<Mapping>> Engine::Enumerate(
         "Enumerate: kPartial is a membership-only semantics; use Eval with "
         "a candidate");
   }
-  bool scatter = false;
-  size_t seed_index = 0;
+  std::optional<size_t> seed_atom;
   if (options.shards > 1) {
     StatsCollector::Bump(stats_.sharded_enumerate_calls);
-    scatter = tree.validated() && PickSeedAtom(tree, db, &seed_index);
-    if (!scatter) StatsCollector::Bump(stats_.sharded_fallbacks);
+    if (tree.validated()) seed_atom = PickSeedAtom(tree, db);
+    if (!seed_atom.has_value()) StatsCollector::Bump(stats_.sharded_fallbacks);
   }
   if (options.trace != nullptr) {
     // Enumeration itself needs no plan; resolve the (cached) plan only to
@@ -323,11 +317,11 @@ Result<std::vector<Mapping>> Engine::Enumerate(
   };
   auto evaluate = [&]() -> Result<AnswerCache::Value> {
     Result<std::vector<Mapping>> answers =
-        scatter ? EnumerateShardedCore(tree, db, seed_index, options, token)
-                : EnumerateCore(tree, db, options, token);
-    // As in EvalWithPlan: a token that fired after the last poll still
-    // turns the answer into its status, so a late answer is neither
-    // returned nor cached.
+        EnumerateCore(tree, db, seed_atom, options, token);
+    // As in EvalWithPlan: a token that fired after the last poll (the
+    // maximality filter's included) still turns the answer into its
+    // status, so a late or partial answer is neither returned nor
+    // cached.
     Status token_status = StatusFromToken(token);
     if (!token_status.ok()) return token_status;
     if (!answers.ok()) return answers.status();
@@ -348,97 +342,97 @@ Result<std::vector<Mapping>> Engine::Enumerate(
 }
 
 Result<std::vector<Mapping>> Engine::EnumerateCore(
-    const PatternTree& tree, const Database& db, const CallOptions& options,
+    const PatternTree& tree, const Database& db,
+    std::optional<size_t> seed_atom, const CallOptions& options,
     const CancelToken& token) {
   EnumerationLimits limits = options.limits;
   limits.cancel = token;
-  return options.semantics == EvalSemantics::kMaximal
-             ? EvaluateWdptMaximal(tree, db, limits)
-             : EvaluateWdpt(tree, db, limits);
-}
-
-Result<std::vector<Mapping>> Engine::EnumerateShardedCore(
-    const PatternTree& tree, const Database& db, size_t seed_index,
-    const CallOptions& options, const CancelToken& token) {
-  const size_t n = options.shards;
-  if (options.trace != nullptr) {
-    options.trace->set_shard_fanout(static_cast<uint32_t>(n));
-  }
-  EnumerationLimits limits = options.limits;
-  limits.cancel = token;
-  // Tasks only ever read the database once the lazy per-column indexes
-  // exist.
-  db.WarmColumnIndexes();
-
-  // Scatter: every maximal homomorphism extends exactly one match of
-  // the seed atom (Definition 2), so splitting the matches splits the
-  // work; each task still completes its seeds against all of `db`,
-  // where the joins and the maximality condition live.
-  std::vector<Mapping> seeds;
-  HomSearchLimits hom_limits;
-  hom_limits.cancel = token;
-  bool complete = ForEachHomomorphism(
-      {tree.label(PatternTree::kRoot)[seed_index]}, db, Mapping(),
-      [&seeds](const Mapping& m) {
-        seeds.push_back(m);
-        return true;
-      },
-      hom_limits);
-  if (!complete) {
-    Status stopped = StatusFromToken(token);
-    return stopped.ok() ? Status::Internal("sharded seed scan aborted")
-                        : stopped;
+  // A plain run is one task over the one empty seed.
+  std::vector<Mapping> seeds(1);
+  size_t tasks = 1;
+  if (seed_atom.has_value()) {
+    // Scatter: every maximal homomorphism extends exactly one match of
+    // the seed atom (Definition 2), so splitting the matches splits the
+    // work; each task still completes its seeds against all of `db`,
+    // where the joins and the maximality condition live.
+    seeds.clear();
+    HomSearchLimits hom_limits;
+    hom_limits.cancel = token;
+    bool complete = ForEachHomomorphism(
+        {tree.label(PatternTree::kRoot)[*seed_atom]}, db, Mapping(),
+        [&seeds](const Mapping& m) {
+          seeds.push_back(m);
+          return true;
+        },
+        hom_limits);
+    if (!complete) {
+      Status stopped = StatusFromToken(token);
+      return stopped.ok() ? Status::Internal("sharded seed scan aborted")
+                          : stopped;
+    }
+    tasks = std::min(options.shards, seeds.size());
+    StatsCollector::Bump(stats_.shard_tasks, tasks);
+    if (options.trace != nullptr) {
+      options.trace->set_shard_fanout(static_cast<uint32_t>(tasks));
+    }
   }
 
-  std::vector<std::vector<Mapping>> task_answers(n);
-  std::vector<Status> statuses(n, Status::Ok());
-  std::vector<uint64_t> task_ns(n, 0);
-  BatchLatch latch(n);
-  for (size_t t = 0; t < n; ++t) {
-    // Task t completes the contiguous chunk [t*|seeds|/n, (t+1)*|seeds|/n).
-    std::span<const Mapping> chunk(seeds.data() + t * seeds.size() / n,
-                                   seeds.data() + (t + 1) * seeds.size() / n);
-    pool_.Submit([&tree, &db, chunk, &limits, &task_answers, &statuses,
-                  &task_ns, &latch, t] {
-      Clock::time_point task_start = Clock::now();
-      Result<std::vector<Mapping>> part =
-          EvaluateWdptProjectedSeeded(tree, db, chunk, limits);
-      if (part.ok()) {
-        task_answers[t] = std::move(*part);
-      } else {
-        statuses[t] = part.status();
-      }
-      task_ns[t] = ElapsedNs(task_start);
-      latch.CountDown();
-    });
+  std::vector<Result<std::vector<Mapping>>> parts(tasks,
+                                                  std::vector<Mapping>());
+  std::vector<uint64_t> task_ns(tasks, 0);
+  // Task t completes the contiguous chunk
+  // [t*|seeds|/tasks, (t+1)*|seeds|/tasks).
+  auto run_task = [&](size_t t) {
+    Clock::time_point task_start = Clock::now();
+    std::span<const Mapping> chunk(seeds.data() + t * seeds.size() / tasks,
+                                   seeds.data() +
+                                       (t + 1) * seeds.size() / tasks);
+    parts[t] = EvaluateWdptProjectedSeeded(tree, db, chunk, limits);
+    task_ns[t] = ElapsedNs(task_start);
+  };
+  if (tasks == 1) {
+    run_task(0);
+  } else if (tasks > 1) {
+    // Tasks only ever read the database once the lazy per-column indexes
+    // exist.
+    db.WarmColumnIndexes();
+    BatchLatch latch(tasks);
+    for (size_t t = 0; t < tasks; ++t) {
+      pool_.Submit([&run_task, &latch, t] {
+        run_task(t);
+        latch.CountDown();
+      });
+    }
+    latch.Wait();
   }
-  latch.Wait();
-  StatsCollector::Bump(stats_.shard_tasks, n);
-  if (options.trace != nullptr) {
+  if (seed_atom.has_value() && options.trace != nullptr) {
     for (uint64_t ns : task_ns) options.trace->RecordShard(ns);
   }
   // Deterministic error reporting: first failure in task order wins,
   // and a failed gather yields no partial answers.
-  for (const Status& st : statuses) {
-    if (!st.ok()) return st;
+  for (const Result<std::vector<Mapping>>& part : parts) {
+    if (!part.ok()) return part.status();
   }
 
-  // Gather: union with dedup (distinct root seeds can project to the
-  // same answer), then the canonical sort shared with the plain run.
-  std::unordered_set<Mapping, MappingHash> seen;
+  // Gather: one part is already sorted and distinct; several are united
+  // with dedup (distinct root seeds can project to the same answer) and
+  // put in the canonical order.
   std::vector<Mapping> answers;
-  for (std::vector<Mapping>& part : task_answers) {
-    for (Mapping& m : part) {
-      if (seen.insert(m).second) answers.push_back(std::move(m));
+  if (tasks == 1) {
+    answers = std::move(*parts[0]);
+  } else {
+    std::unordered_set<Mapping, MappingHash> seen;
+    for (Result<std::vector<Mapping>>& part : parts) {
+      for (Mapping& m : *part) {
+        if (seen.insert(m).second) answers.push_back(std::move(m));
+      }
     }
+    std::sort(answers.begin(), answers.end());
   }
-  std::sort(answers.begin(), answers.end());
   // p_m(D) is a global property of p(D), so maximality is filtered after
-  // the union — matching EvaluateWdptMaximal.
+  // the gather.
   if (options.semantics == EvalSemantics::kMaximal) {
     answers = MaximalMappings(answers, token);
-    Status stopped = StatusFromToken(token);
-    if (!stopped.ok()) return stopped;
   }
   return answers;
 }

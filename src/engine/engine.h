@@ -11,8 +11,8 @@
 // deadlines / cooperative cancellation end to end: when a deadline
 // expires the engine returns kDeadlineExceeded — never a partial answer.
 //
-// Plans (classification + decomposition) are cached per canonical tree;
-// see plan.h and docs/ENGINE.md for the lifecycle.
+// Plans (classification + the committed algorithm) are cached per
+// canonical tree; see plan.h and docs/ENGINE.md for the lifecycle.
 
 #ifndef WDPT_SRC_ENGINE_ENGINE_H_
 #define WDPT_SRC_ENGINE_ENGINE_H_
@@ -27,7 +27,6 @@
 #include "src/common/cancellation.h"
 #include "src/common/status.h"
 #include "src/common/trace.h"
-#include "src/cq/evaluation.h"
 #include "src/engine/answer_cache.h"
 #include "src/engine/plan.h"
 #include "src/engine/stats.h"
@@ -47,10 +46,11 @@ enum class EvalSemantics {
 };
 
 /// The one per-call option surface, accepted by every Engine entry
-/// point (Eval, EvalBatch, Enumerate).
-/// Replaces the former EvalOptions / EnumerateOptions pair and the raw
-/// EnumerationLimits plumbing; fields irrelevant to a given call are
-/// simply ignored (e.g. `limits` by Eval, `algorithm` by Enumerate).
+/// point (Eval, EvalBatch, Enumerate). Fields irrelevant to a given call
+/// are simply ignored (e.g. `limits` by Eval, `algorithm` by Enumerate).
+/// The CQ substrate under Eval always runs its kAuto strategy ladder
+/// (src/cq/evaluation.h) with the engine's effective token; no field
+/// steers it.
 struct CallOptions {
   /// Which answer relation the call runs against. For Enumerate,
   /// kStandard enumerates p(D) and kMaximal enumerates p_m(D);
@@ -60,12 +60,8 @@ struct CallOptions {
   /// semantics have a single algorithm each; this field only steers
   /// kStandard. Eval-only.
   EvalAlgorithm algorithm = EvalAlgorithm::kAuto;
-  /// Treewidth bound for classification / decomposition (cache-key part).
+  /// Treewidth bound for classification (cache-key part).
   int width_bound = 1;
-  /// Options forwarded to the CQ evaluation substrate (strategy etc.).
-  /// Its `cancel` field is overwritten by the engine's effective token.
-  /// Eval-only.
-  CqEvalOptions cq;
   /// Enumeration caps; its `cancel` field is overwritten by the
   /// engine's effective token. Enumerate-only.
   EnumerationLimits limits;
@@ -129,15 +125,16 @@ class Engine {
   ///
   /// With options.shards > 1 the call scatters: one root-label seed
   /// atom is matched once against `db`, the matches are split into
-  /// `shards` contiguous chunks, each chunk is completed against the
-  /// whole of `db` on the engine pool, and the parts are merged with
+  /// min(shards, |matches|) contiguous chunks, each chunk is completed
+  /// against the whole of `db`, and the parts are merged with
   /// deduplication — bit-identical to the unsharded run (asserted in
   /// tests/sharded_test.cpp). It falls back to the plain run, counted
   /// as a sharded fallback, for an unvalidated tree or a root label with
-  /// no seed atom (empty, or only nullary relations). Each task gets its
-  /// own copy of options.limits. A scattering call must not be made
-  /// from within an engine pool task (the gather barrier would deadlock
-  /// the pool).
+  /// no seed atom (empty, or only nullary relations). A run with one
+  /// task stays on the calling thread; more tasks go to the engine pool,
+  /// each with its own copy of options.limits, so a scattering call must
+  /// not be made from within an engine pool task (the gather barrier
+  /// would deadlock the pool).
   Result<std::vector<Mapping>> Enumerate(
       const PatternTree& tree, const Database& db,
       const CallOptions& options = CallOptions());
@@ -188,24 +185,20 @@ class Engine {
       const std::function<Result<AnswerCache::Value>()>& evaluate);
 
   /// One membership check through the answer cache: dispatch on
-  /// (semantics, plan.algorithm()) with `token` installed in the CQ
-  /// options; a fired token becomes its status.
+  /// (semantics, plan.algorithm()) with `token` as the CQ options'
+  /// cancel token; a fired token becomes its status.
   Result<bool> EvalWithPlan(const Plan& plan, const Database& db,
                             const Mapping& h, const CallOptions& options,
                             const CancelToken& token, Trace* trace);
 
-  /// The uncached enumeration core: p(D) / p_m(D) in one plain run.
+  /// The one uncached enumeration core (see Enumerate): without a
+  /// `seed_atom`, one task over the empty seed. The caller turns a fired
+  /// token into its status.
   Result<std::vector<Mapping>> EnumerateCore(const PatternTree& tree,
                                              const Database& db,
+                                             std::optional<size_t> seed_atom,
                                              const CallOptions& options,
                                              const CancelToken& token);
-
-  /// The uncached scatter-gather core over options.shards tasks.
-  /// `seed_atom` was already chosen by the caller (fallback decided
-  /// there).
-  Result<std::vector<Mapping>> EnumerateShardedCore(
-      const PatternTree& tree, const Database& db, size_t seed_atom,
-      const CallOptions& options, const CancelToken& token);
 
   /// Records a terminal status in the early-termination counters.
   void NoteStatus(const Status& status);

@@ -79,9 +79,6 @@ struct EngineStats {
   uint64_t eval_ns = 0;       ///< Includes batch task execution.
   uint64_t enumerate_ns = 0;
 
-  /// Multi-line human-readable rendering.
-  std::string ToString() const;
-
   /// Single-line JSON object with every counter/timer as a numeric
   /// field (snake_case, times in nanoseconds). Shared by
   /// `wdpt_query --stats` and the server's STATS response so external

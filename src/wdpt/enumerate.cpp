@@ -145,43 +145,34 @@ namespace {
 // only by their free-variable projections, deduplicated eagerly, and
 // memoized on the node's parent-interface assignment.
 //
-// With `root_seeds` attached, the root search runs once per seed with
-// the seed pre-bound (the scatter side of the engine's sharded path);
-// the per-seed completion sets are merged with deduplication.
+// The root search runs once per root seed with the seed pre-bound (the
+// scatter side of the engine's sharded path); an unseeded run is the one
+// empty seed. The completion sets of several seeds are merged with
+// deduplication; one seed's set is taken as it is.
 class ProjectedEvaluator {
  public:
   ProjectedEvaluator(const PatternTree& tree, const Database& db,
-                     const EnumerationLimits& limits,
-                     std::optional<std::span<const Mapping>> root_seeds =
-                         std::nullopt)
-      : tree_(tree),
-        db_(db),
-        limits_(limits),
-        root_seeds_(root_seeds),
-        memo_(tree.num_nodes()) {}
+                     const EnumerationLimits& limits)
+      : tree_(tree), db_(db), limits_(limits), memo_(tree.num_nodes()) {}
 
-  Result<std::vector<Mapping>> Run() {
+  Result<std::vector<Mapping>> Run(std::span<const Mapping> root_seeds) {
     std::vector<Mapping> answers;
-    if (!root_seeds_.has_value()) {
-      std::optional<std::vector<Mapping>> root =
-          Completions(PatternTree::kRoot, Mapping());
-      Status terminal = TerminalStatus();
-      if (!terminal.ok()) return terminal;
-      if (root.has_value()) answers = std::move(*root);
-    } else {
-      std::unordered_set<Mapping, MappingHash> merged;
-      for (const Mapping& seed : *root_seeds_) {
-        std::optional<std::vector<Mapping>> part =
-            Completions(PatternTree::kRoot, seed);
-        if (overflow_ || cancelled_) break;
-        if (part.has_value()) {
-          merged.insert(part->begin(), part->end());
-        }
+    std::unordered_set<Mapping, MappingHash> seen;
+    for (const Mapping& seed : root_seeds) {
+      std::optional<std::vector<Mapping>> part =
+          Completions(PatternTree::kRoot, seed);
+      if (overflow_ || cancelled_) break;
+      if (!part.has_value()) continue;
+      if (root_seeds.size() == 1) {
+        answers = std::move(*part);
+        break;
       }
-      Status terminal = TerminalStatus();
-      if (!terminal.ok()) return terminal;
-      answers.assign(merged.begin(), merged.end());
+      for (Mapping& m : *part) {
+        if (seen.insert(m).second) answers.push_back(std::move(m));
+      }
     }
+    Status terminal = TerminalStatus();
+    if (!terminal.ok()) return terminal;
     std::sort(answers.begin(), answers.end());
     return answers;
   }
@@ -214,13 +205,11 @@ class ProjectedEvaluator {
   // c matter). nullopt = not enterable.
   std::optional<std::vector<Mapping>> Completions(NodeId c,
                                                   const Mapping& e) {
-    // Children key on their parent interface; the root keys on the full
-    // ancestor assignment — empty unseeded (ParentInterface(kRoot) is
-    // empty), the scatter seed in seeded runs, where it must survive
-    // into the homomorphism search below.
-    Mapping key = c == PatternTree::kRoot
-                      ? e
-                      : e.RestrictTo(tree_.ParentInterface(c));
+    // Children key on their parent interface; the root keys on its seed,
+    // which must survive into the homomorphism search below. Each seed
+    // reaches the root once, so the root is not memoized.
+    const bool is_root = c == PatternTree::kRoot;
+    Mapping key = is_root ? e : e.RestrictTo(tree_.ParentInterface(c));
     auto& node_memo = memo_[c];
     auto it = node_memo.find(key);
     if (it != node_memo.end()) return it->second;
@@ -270,14 +259,15 @@ class ProjectedEvaluator {
     if (enterable) {
       out.emplace(results.begin(), results.end());
     }
-    if (!(overflow_ || cancelled_)) node_memo.emplace(std::move(key), out);
+    if (!is_root && !(overflow_ || cancelled_)) {
+      node_memo.emplace(std::move(key), out);
+    }
     return out;
   }
 
   const PatternTree& tree_;
   const Database& db_;
   EnumerationLimits limits_;
-  std::optional<std::span<const Mapping>> root_seeds_;
   std::vector<std::unordered_map<Mapping,
                                  std::optional<std::vector<Mapping>>,
                                  MappingHash>>
@@ -292,11 +282,8 @@ class ProjectedEvaluator {
 Result<std::vector<Mapping>> EvaluateWdptProjected(
     const PatternTree& tree, const Database& db,
     const EnumerationLimits& limits) {
-  if (!tree.validated()) {
-    return Status::InvalidArgument("pattern tree must be validated");
-  }
-  ProjectedEvaluator evaluator(tree, db, limits);
-  return evaluator.Run();
+  const Mapping empty_seed;
+  return EvaluateWdptProjectedSeeded(tree, db, {&empty_seed, 1}, limits);
 }
 
 Result<std::vector<Mapping>> EvaluateWdptProjectedSeeded(
@@ -306,8 +293,8 @@ Result<std::vector<Mapping>> EvaluateWdptProjectedSeeded(
   if (!tree.validated()) {
     return Status::InvalidArgument("pattern tree must be validated");
   }
-  ProjectedEvaluator evaluator(tree, db, limits, root_seeds);
-  return evaluator.Run();
+  ProjectedEvaluator evaluator(tree, db, limits);
+  return evaluator.Run(root_seeds);
 }
 
 Result<std::vector<Mapping>> EvaluateWdpt(const PatternTree& tree,

@@ -509,6 +509,63 @@ TEST_F(DifferentialFixture, RandomCqsAgreeUnderAutoStrategy) {
   }
 }
 
+TEST_F(DifferentialFixture, WideQueryEvaluatesOverDecomposition) {
+  // A 7-clique with a pendant path has generalized hypertree width 4,
+  // above the ladder's GHD probe bound of 3. Under kDecomposition both
+  // EvaluateCq and DecideNonEmpty still evaluate over a decomposition
+  // (EvaluateCq over the min-fill tree decomposition, so semijoin passes
+  // move) and agree with backtracking. A 7-clique planted in a sparse
+  // random graph keeps the oracle non-empty.
+  RelationId edge_rel;
+  Database db = MakeGraph(40, 60, 43, &edge_rel);
+  auto node = [&](uint32_t i) {
+    return vocab_.ConstantIdOf("n" + std::to_string(i));
+  };
+  for (uint32_t i = 0; i < 7; ++i) {
+    for (uint32_t j = 0; j < 7; ++j) {
+      if (i == j) continue;
+      ConstantId edge[2] = {node(i), node(j)};
+      ASSERT_TRUE(db.AddFact(edge_rel, edge).ok());
+    }
+  }
+  ConjunctiveQuery q = gen::MakeCliqueCq(&schema_, &vocab_, 7, "w");
+  Term hop1 = vocab_.Variable("w_hop1");
+  Term hop2 = vocab_.Variable("w_hop2");
+  q.atoms.emplace_back(edge_rel,
+                       std::vector<Term>{vocab_.Variable("w6"), hop1});
+  q.atoms.emplace_back(edge_rel, std::vector<Term>{hop1, hop2});
+  VariableId w0 = vocab_.Variable("w0").variable_id();
+  q.free_vars = {w0, hop2.variable_id()};
+  q.Normalize();
+
+  std::vector<Mapping> oracle = BacktrackingAnswers(q, db);
+  ASSERT_FALSE(oracle.empty());
+  CqEvalOptions decomposition;
+  decomposition.strategy = CqEvalStrategy::kDecomposition;
+  uint64_t passes_before = metrics::Load(metrics::SemijoinPasses());
+  EXPECT_EQ(Sorted(EvaluateCq(q, db, decomposition)), oracle);
+  EXPECT_GT(metrics::Load(metrics::SemijoinPasses()), passes_before)
+      << "EvaluateCq fell back to backtracking on a wide query";
+
+  // Candidates with w0 inside the planted clique (answers) and outside
+  // it (non-answers): the deciders agree on each.
+  CqEvalOptions backtracking;
+  backtracking.strategy = CqEvalStrategy::kBacktracking;
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (uint32_t a : {0u, 1u, 7u, 8u}) {
+    for (uint32_t b : {0u, 1u, 2u}) {
+      Mapping seed({{w0, node(a)}, {hop2.variable_id(), node(b)}});
+      bool expected = DecideNonEmpty(q.atoms, db, seed, backtracking);
+      EXPECT_EQ(DecideNonEmpty(q.atoms, db, seed, decomposition), expected)
+          << "w0 = n" << a << ", w_hop2 = n" << b;
+      ++(expected ? accepted : rejected);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 // Engine::Enumerate (projection-aware enumerator, sharded scatter-gather,
 // answer cache) against p(D) by full maximal-homomorphism enumeration,
 // with p_m(D) as MaximalMappings of it. Grid: semantics x shard count x

@@ -5,7 +5,7 @@
 // evaluation"). Workloads cover the Figure 1 running example, generated
 // music catalogs, random chain WDPTs over random graphs, and the
 // Proposition 3 three-colorability reduction; edge cases cover the empty
-// database, an empty seed relation, more tasks than seed matches, the
+// database, an empty seed relation, more shards than seed matches, the
 // 0/1 shard counts that take the plain path, Eval/EvalBatch (which
 // ignore the field), and a token that fires during the seed scan.
 
@@ -148,8 +148,8 @@ TEST(ShardedEnumerate, EmptyDatabaseAndEmptyShards) {
   // Empty database: no seeds anywhere, empty answer set.
   ExpectShardedMatchesUnsharded(tree, empty, {1, 2, 4});
 
-  // More tasks than seed matches: most chunks are empty, and their
-  // tasks must contribute nothing (not wrong answers).
+  // More shards than seed matches: the run caps its tasks at the one
+  // seed match and still returns exactly the plain answers.
   Database tiny = ctx.MakeDatabase();
   ctx.AddTriple(&tiny, "Swim", "recorded_by", "Caribou");
   ctx.AddTriple(&tiny, "Swim", "published", "after_2010");
@@ -161,8 +161,9 @@ TEST(ShardedEnumerate, MoreTasksThanSeedMatches) {
   PatternTree tree = MakeFigure1Tree(&ctx);
   Engine engine;
 
-  // Two seed matches, eight tasks: every task runs (six on an empty
-  // chunk) and the gather still returns exactly the plain answers.
+  // Two seed matches, eight shards: one task per seed match runs (no
+  // task gets an empty chunk) and the gather still returns exactly the
+  // plain answers.
   Database two = ctx.MakeDatabase();
   for (const char* rec : {"Swim", "Our_love"}) {
     ctx.AddTriple(&two, rec, "recorded_by", "Caribou");
@@ -177,11 +178,11 @@ TEST(ShardedEnumerate, MoreTasksThanSeedMatches) {
       engine.Enumerate(tree, two, WithShards(8));
   ASSERT_TRUE(scattered.ok()) << scattered.status().ToString();
   EXPECT_EQ(*scattered, *plain);
-  EXPECT_EQ(engine.stats().shard_tasks, 8u);
+  EXPECT_EQ(engine.stats().shard_tasks, 2u);
   EXPECT_EQ(engine.stats().sharded_fallbacks, 0u);
 
   // An empty seed relation next to non-empty ones: the seed scan finds
-  // nothing, every chunk is empty, and the answer set is empty.
+  // nothing, no task runs, and the answer set is empty.
   Database no_roots = ctx.MakeDatabase();
   ctx.AddTriple(&no_roots, "Swim", "NME_rating", "2");
   ctx.AddTriple(&no_roots, "Caribou", "formed_in", "2000");
@@ -195,7 +196,7 @@ TEST(ShardedEnumerate, MoreTasksThanSeedMatches) {
     ASSERT_TRUE(none.ok()) << none.status().ToString();
     EXPECT_TRUE(none->empty());
   }
-  EXPECT_EQ(engine.stats().shard_tasks, 8u);
+  EXPECT_EQ(engine.stats().shard_tasks, 0u);
 }
 
 TEST(ShardedEnumerate, ZeroShardsClampsToOne) {

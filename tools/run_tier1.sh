@@ -4,9 +4,9 @@
 #   1. docs lint (tools/check_docs.py — cross-links, paths, flags,
 #      labels, presets, and the METRICS.md metric-family inventory);
 #   2. configure + build + ctest for the default preset, then the asan
-#      and tsan presets (which run the concurrency-sensitive labels:
-#      engine, server, shards, cache, storage, resilience, replication
-#      — see CMakePresets.json);
+#      and tsan presets (which run the concurrency-sensitive labels
+#      and the join kernel's: engine, server, shards, cache, storage,
+#      resilience, replication, kernel — see CMakePresets.json);
 #   3. a seeded single-node `wdpt_loadgen --chaos` smoke run (fault
 #      injection + drain/restart, zero mismatches required; see
 #      docs/RESILIENCE.md);
