@@ -11,6 +11,12 @@
 // log-linear buckets (4 sub-buckets per power of two, so bucket bounds
 // are within 25% of any value), relaxed-atomic recording from any
 // thread, mergeable, with p50/p90/p99 extraction from a plain snapshot.
+//
+// StatField is the row type of the field tables declared next to each
+// stats struct (EngineStats, ServerCounters, StorageStats, the two
+// replication structs): one row names a counter once, and both the
+// STATS JSON (FieldsJson) and the METRICS exposition
+// (server::RequestMetrics::RenderPrometheus) are rendered from it.
 
 #ifndef WDPT_SRC_COMMON_METRICS_H_
 #define WDPT_SRC_COMMON_METRICS_H_
@@ -20,6 +26,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace wdpt::metrics {
 
@@ -55,6 +62,34 @@ inline uint64_t Load(std::atomic<uint64_t>& counter) {
 /// Relaxed increment helper for the hot paths.
 inline void Bump(std::atomic<uint64_t>& counter) {
   counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// One row of a stats struct's field table: the key of the field in the
+/// STATS JSON object, the METRICS family it is exposed as (nullptr for
+/// STATS-only fields) and the member both read. A family ending in
+/// `_total` is a counter, any other family a gauge.
+template <typename Stats>
+struct StatField {
+  const char* key;
+  const char* family;
+  uint64_t Stats::*member;
+};
+
+/// `stats` as a single-line JSON object: one `"key":value` per row of
+/// `fields`, in row order.
+template <typename Stats, size_t N>
+std::string FieldsJson(const Stats& stats,
+                       const StatField<Stats> (&fields)[N]) {
+  std::string json = "{";
+  for (const StatField<Stats>& field : fields) {
+    if (json.size() > 1) json += ',';
+    json += '"';
+    json += field.key;
+    json += "\":";
+    json += std::to_string(stats.*field.member);
+  }
+  json += '}';
+  return json;
 }
 
 /// Bucket count of LatencyHistogram. Buckets 0..3 are exact ([v, v+1)

@@ -2,7 +2,8 @@
 //
 // A StatsCollector lives inside the Engine and is bumped from any
 // thread; stats() snapshots it into the plain EngineStats struct that
-// the CLI prints and the benches assert on. Kernel-level counters
+// the CLI prints and the benches assert on. kEngineStatsFields names
+// each field once for the STATS JSON and the METRICS exposition. Kernel-level counters
 // (homomorphism calls, semijoin passes) come from src/common/metrics.h:
 // the collector records the process-wide values at construction/reset
 // and reports deltas since then.
@@ -79,12 +80,70 @@ struct EngineStats {
   uint64_t eval_ns = 0;       ///< Includes batch task execution.
   uint64_t enumerate_ns = 0;
 
-  /// Single-line JSON object with every counter/timer as a numeric
-  /// field (snake_case, times in nanoseconds). Shared by
+  /// Single-line JSON object with every row of kEngineStatsFields as a
+  /// numeric field (snake_case, times in nanoseconds). Shared by
   /// `wdpt_query --stats` and the server's STATS response so external
   /// tooling sees one schema.
   std::string ToJson() const;
 };
+
+/// Every EngineStats field, once: its STATS key and its METRICS family
+/// (null for the STATS-only batch counters and phase timers).
+inline constexpr metrics::StatField<EngineStats> kEngineStatsFields[] = {
+    {"plan_cache_lookups", "wdpt_engine_plan_cache_lookups_total",
+     &EngineStats::plan_cache_lookups},
+    {"plans_built", "wdpt_engine_plans_built_total",
+     &EngineStats::plans_built},
+    {"plan_cache_hits", "wdpt_engine_plan_cache_hits_total",
+     &EngineStats::plan_cache_hits},
+    {"plan_cache_misses", "wdpt_engine_plan_cache_misses_total",
+     &EngineStats::plan_cache_misses},
+    {"eval_calls", "wdpt_engine_eval_calls_total", &EngineStats::eval_calls},
+    {"batch_calls", nullptr, &EngineStats::batch_calls},
+    {"batch_tasks", nullptr, &EngineStats::batch_tasks},
+    {"enumerate_calls", "wdpt_engine_enumerate_calls_total",
+     &EngineStats::enumerate_calls},
+    {"sharded_enumerate_calls", "wdpt_engine_sharded_enumerate_calls_total",
+     &EngineStats::sharded_enumerate_calls},
+    {"sharded_fallbacks", "wdpt_engine_sharded_fallbacks_total",
+     &EngineStats::sharded_fallbacks},
+    {"shard_tasks", "wdpt_engine_shard_tasks_total", &EngineStats::shard_tasks},
+    {"answer_cache_hits", "wdpt_answer_cache_hits_total",
+     &EngineStats::answer_cache_hits},
+    {"answer_cache_misses", "wdpt_answer_cache_misses_total",
+     &EngineStats::answer_cache_misses},
+    {"answer_cache_bypasses", "wdpt_answer_cache_bypasses_total",
+     &EngineStats::answer_cache_bypasses},
+    {"answer_cache_inflight_waits", "wdpt_answer_cache_inflight_waits_total",
+     &EngineStats::answer_cache_inflight_waits},
+    {"answer_cache_evictions", "wdpt_answer_cache_evictions_total",
+     &EngineStats::answer_cache_evictions},
+    {"answer_cache_inserts", "wdpt_answer_cache_inserts_total",
+     &EngineStats::answer_cache_inserts},
+    {"answer_cache_bytes", "wdpt_answer_cache_bytes",
+     &EngineStats::answer_cache_bytes},
+    {"answer_cache_entries", "wdpt_answer_cache_entries",
+     &EngineStats::answer_cache_entries},
+    {"deadline_exceeded", "wdpt_engine_deadline_exceeded_total",
+     &EngineStats::deadline_exceeded},
+    {"cancelled", "wdpt_engine_cancelled_total", &EngineStats::cancelled},
+    {"homomorphism_calls", "wdpt_engine_homomorphism_calls_total",
+     &EngineStats::homomorphism_calls},
+    {"semijoin_passes", "wdpt_engine_semijoin_passes_total",
+     &EngineStats::semijoin_passes},
+    {"csr_probes", "wdpt_engine_csr_probes_total", &EngineStats::csr_probes},
+    {"gallop_intersections", "wdpt_engine_gallop_intersections_total",
+     &EngineStats::gallop_intersections},
+    {"arena_bytes_peak", "wdpt_engine_arena_bytes_peak",
+     &EngineStats::arena_bytes_peak},
+    {"plan_build_ns", nullptr, &EngineStats::plan_build_ns},
+    {"eval_ns", nullptr, &EngineStats::eval_ns},
+    {"enumerate_ns", nullptr, &EngineStats::enumerate_ns},
+};
+
+inline std::string EngineStats::ToJson() const {
+  return metrics::FieldsJson(*this, kEngineStatsFields);
+}
 
 /// Thread-safe accumulator behind EngineStats.
 class StatsCollector {

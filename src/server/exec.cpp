@@ -33,20 +33,14 @@ std::string PerRequestStatsJson(const Response& response,
   json += TractabilityClassName(trace.classification());
   json += "\",\"cache\":\"";
   json += CacheOutcomeName(trace.cache_outcome());
-  json += "\",\"queue_ns\":";
-  json += std::to_string(trace.span_ns(TraceStage::kQueueWait));
-  json += ",\"parse_ns\":";
-  json += std::to_string(trace.span_ns(TraceStage::kParse));
-  json += ",\"plan_lookup_ns\":";
-  json += std::to_string(trace.span_ns(TraceStage::kPlanLookup));
-  json += ",\"plan_build_ns\":";
-  json += std::to_string(trace.span_ns(TraceStage::kPlanBuild));
-  json += ",\"cache_lookup_ns\":";
-  json += std::to_string(trace.span_ns(TraceStage::kCacheLookup));
-  json += ",\"eval_ns\":";
-  json += std::to_string(trace.span_ns(TraceStage::kEval));
-  json += ",\"serialize_ns\":";
-  json += std::to_string(trace.span_ns(TraceStage::kSerialize));
+  json += '"';
+  for (size_t s = 0; s < kQueryStageCount; ++s) {
+    TraceStage stage = static_cast<TraceStage>(s);
+    json += ",\"";
+    json += TraceStageName(stage);
+    json += "_ns\":";
+    json += std::to_string(trace.span_ns(stage));
+  }
   json += ",\"shard_fanout\":";
   json += std::to_string(trace.shard_fanout());
   json += ",\"shard_max_ns\":";

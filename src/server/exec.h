@@ -36,9 +36,9 @@ namespace wdpt::server {
 /// cache policy as the generation, and `Response::cached` reports a
 /// cache hit. The response's stats header is a single-line JSON object
 /// {"status", "mode", "rows", "truncated", "wall_ns",
-/// "snapshot_version", "request_id", "class", "cache", "queue_ns",
-/// "parse_ns", "plan_lookup_ns", "plan_build_ns", "cache_lookup_ns",
-/// "eval_ns", "serialize_ns"}.
+/// "snapshot_version", "request_id", "class", "cache", one
+/// TraceStageName + "_ns" key per query stage ("queue_ns" ..
+/// "serialize_ns"), "shard_fanout", "shard_max_ns"}.
 Response ExecuteQuery(Engine* engine, const Snapshot& snapshot,
                       const sparql::QueryRequest& request,
                       const CancelToken& cancel = CancelToken(),

@@ -1,6 +1,7 @@
 #include "src/server/metrics.h"
 
 #include <cstdio>
+#include <string_view>
 
 #include "src/server/fault.h"
 
@@ -16,7 +17,7 @@ std::string Seconds(double ns) {
   return std::string(buf);
 }
 
-void AppendType(std::string* out, const char* family, const char* kind) {
+void AppendType(std::string* out, std::string_view family, const char* kind) {
   *out += "# TYPE ";
   *out += family;
   *out += ' ';
@@ -24,20 +25,26 @@ void AppendType(std::string* out, const char* family, const char* kind) {
   *out += '\n';
 }
 
-void AppendCounter(std::string* out, const char* family, uint64_t value) {
-  AppendType(out, family, "counter");
+// One counter or gauge sample, typed by the family's name: `_total`
+// families are counters, every other scalar family is a gauge.
+void AppendScalar(std::string* out, std::string_view family, uint64_t value) {
+  AppendType(out, family, family.ends_with("_total") ? "counter" : "gauge");
   *out += family;
   *out += ' ';
   *out += std::to_string(value);
   *out += '\n';
 }
 
-void AppendGauge(std::string* out, const char* family, uint64_t value) {
-  AppendType(out, family, "gauge");
-  *out += family;
-  *out += ' ';
-  *out += std::to_string(value);
-  *out += '\n';
+// One scalar per row of a stats struct's field table that names a
+// family; STATS-only rows are skipped.
+template <typename Stats, size_t N>
+void AppendFields(std::string* out, const Stats& stats,
+                  const metrics::StatField<Stats> (&fields)[N]) {
+  for (const metrics::StatField<Stats>& field : fields) {
+    if (field.family != nullptr) {
+      AppendScalar(out, field.family, stats.*field.member);
+    }
+  }
 }
 
 // Histogram recorded values are nanoseconds by default; kUnitless keeps
@@ -107,33 +114,6 @@ void AppendHistogramSeries(std::string* out, const char* family,
 
 }  // namespace
 
-std::string ServerCounters::ToJson() const {
-  std::string json = "{";
-  bool first = true;
-  auto field = [&](const char* name, uint64_t value) {
-    if (!first) json += ",";
-    first = false;
-    json += "\"";
-    json += name;
-    json += "\":";
-    json += std::to_string(value);
-  };
-  field("connections", connections);
-  field("requests", requests);
-  field("protocol_errors", protocol_errors);
-  field("queries", queries);
-  field("admitted", admitted);
-  field("rejected_overload", rejected_overload);
-  field("reloads", reloads);
-  field("ingests", ingests);
-  field("checkpoints", checkpoints);
-  field("idle_timeouts", idle_timeouts);
-  field("drained_requests", drained_requests);
-  field("drain_rejections", drain_rejections);
-  json += "}";
-  return json;
-}
-
 void RequestMetrics::RecordQuery(const Trace& trace, sparql::RequestMode mode,
                                  StatusCode code) {
   size_t m = static_cast<size_t>(mode);
@@ -153,7 +133,6 @@ void RequestMetrics::RecordQuery(const Trace& trace, sparql::RequestMode mode,
   if (status < kStatusCodeCount) {
     responses_by_status_[status].fetch_add(1, std::memory_order_relaxed);
   }
-  queries_recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RequestMetrics::RecordIngest(const Trace& trace, StatusCode code) {
@@ -165,10 +144,6 @@ void RequestMetrics::RecordIngest(const Trace& trace, StatusCode code) {
   }
 }
 
-void RequestMetrics::RecordRejected() {
-  rejected_.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::string RequestMetrics::RenderPrometheus(
     const ServerCounters& counters, const EngineStats& engine,
     uint64_t in_flight, uint64_t snapshot_version,
@@ -178,25 +153,7 @@ std::string RequestMetrics::RenderPrometheus(
   std::string out;
   out.reserve(16 * 1024);
 
-  AppendCounter(&out, "wdpt_server_connections_total", counters.connections);
-  AppendCounter(&out, "wdpt_server_requests_total", counters.requests);
-  AppendCounter(&out, "wdpt_server_protocol_errors_total",
-                counters.protocol_errors);
-  AppendCounter(&out, "wdpt_server_queries_total", counters.queries);
-  AppendCounter(&out, "wdpt_server_admitted_total", counters.admitted);
-  AppendCounter(&out, "wdpt_server_rejected_overload_total",
-                counters.rejected_overload);
-  AppendCounter(&out, "wdpt_server_reloads_total", counters.reloads);
-  AppendCounter(&out, "wdpt_server_ingests_total", counters.ingests);
-  AppendCounter(&out, "wdpt_server_checkpoints_total", counters.checkpoints);
-  AppendCounter(&out, "wdpt_server_idle_timeouts_total",
-                counters.idle_timeouts);
-  // Exposed without a _total suffix: the acceptance gate greps for this
-  // exact family name in the chaos run's final scrape.
-  AppendGauge(&out, "wdpt_server_drained_requests",
-              counters.drained_requests);
-  AppendCounter(&out, "wdpt_server_drain_rejections_total",
-                counters.drain_rejections);
+  AppendFields(&out, counters, kServerCounterFields);
 
   if (const fault::Injector* injector = fault::Get()) {
     fault::Counters faults = injector->counters();
@@ -215,50 +172,9 @@ std::string RequestMetrics::RenderPrometheus(
     fault_series("wal", faults.wal_failures);
   }
 
-  AppendCounter(&out, "wdpt_engine_plan_cache_lookups_total",
-                engine.plan_cache_lookups);
-  AppendCounter(&out, "wdpt_engine_plan_cache_hits_total",
-                engine.plan_cache_hits);
-  AppendCounter(&out, "wdpt_engine_plan_cache_misses_total",
-                engine.plan_cache_misses);
-  AppendCounter(&out, "wdpt_engine_plans_built_total", engine.plans_built);
-  AppendCounter(&out, "wdpt_engine_eval_calls_total", engine.eval_calls);
-  AppendCounter(&out, "wdpt_engine_enumerate_calls_total",
-                engine.enumerate_calls);
-  AppendCounter(&out, "wdpt_engine_sharded_enumerate_calls_total",
-                engine.sharded_enumerate_calls);
-  AppendCounter(&out, "wdpt_engine_sharded_fallbacks_total",
-                engine.sharded_fallbacks);
-  AppendCounter(&out, "wdpt_engine_shard_tasks_total", engine.shard_tasks);
-  AppendCounter(&out, "wdpt_engine_deadline_exceeded_total",
-                engine.deadline_exceeded);
-  AppendCounter(&out, "wdpt_engine_cancelled_total", engine.cancelled);
-  AppendCounter(&out, "wdpt_engine_homomorphism_calls_total",
-                engine.homomorphism_calls);
-  AppendCounter(&out, "wdpt_engine_semijoin_passes_total",
-                engine.semijoin_passes);
-  AppendCounter(&out, "wdpt_engine_csr_probes_total", engine.csr_probes);
-  AppendCounter(&out, "wdpt_engine_gallop_intersections_total",
-                engine.gallop_intersections);
-  AppendGauge(&out, "wdpt_engine_arena_bytes_peak", engine.arena_bytes_peak);
-
-  AppendCounter(&out, "wdpt_answer_cache_hits_total",
-                engine.answer_cache_hits);
-  AppendCounter(&out, "wdpt_answer_cache_misses_total",
-                engine.answer_cache_misses);
-  AppendCounter(&out, "wdpt_answer_cache_bypasses_total",
-                engine.answer_cache_bypasses);
-  AppendCounter(&out, "wdpt_answer_cache_inflight_waits_total",
-                engine.answer_cache_inflight_waits);
-  AppendCounter(&out, "wdpt_answer_cache_evictions_total",
-                engine.answer_cache_evictions);
-  AppendCounter(&out, "wdpt_answer_cache_inserts_total",
-                engine.answer_cache_inserts);
-
-  AppendGauge(&out, "wdpt_server_in_flight_requests", in_flight);
-  AppendGauge(&out, "wdpt_server_snapshot_version", snapshot_version);
-  AppendGauge(&out, "wdpt_answer_cache_bytes", engine.answer_cache_bytes);
-  AppendGauge(&out, "wdpt_answer_cache_entries", engine.answer_cache_entries);
+  AppendFields(&out, engine, kEngineStatsFields);
+  AppendScalar(&out, "wdpt_server_in_flight_requests", in_flight);
+  AppendScalar(&out, "wdpt_server_snapshot_version", snapshot_version);
 
   AppendType(&out, "wdpt_server_responses_total", "counter");
   for (size_t i = 0; i < kStatusCodeCount; ++i) {
@@ -322,20 +238,7 @@ std::string RequestMetrics::RenderPrometheus(
   }
 
   if (storage != nullptr) {
-    AppendCounter(&out, "wdpt_storage_wal_appends_total",
-                  storage->wal_appends);
-    AppendCounter(&out, "wdpt_storage_wal_bytes_total", storage->wal_bytes);
-    AppendCounter(&out, "wdpt_storage_replays_total", storage->replays);
-    AppendCounter(&out, "wdpt_storage_replayed_ops_total",
-                  storage->replayed_ops);
-    AppendCounter(&out, "wdpt_storage_truncated_bytes_total",
-                  storage->truncated_bytes);
-    AppendCounter(&out, "wdpt_storage_checkpoints_total",
-                  storage->checkpoints);
-    AppendCounter(&out, "wdpt_storage_publishes_total", storage->publishes);
-    AppendGauge(&out, "wdpt_storage_wal_backlog_bytes",
-                storage->wal_backlog_bytes);
-    AppendGauge(&out, "wdpt_storage_snapshot_seq", storage->snapshot_seq);
+    AppendFields(&out, *storage, storage::kStorageStatsFields);
     AppendType(&out, "wdpt_storage_ingest_duration_seconds", "histogram");
     if (ingest_wall_.count() != 0) {
       AppendHistogramSeries(&out, "wdpt_storage_ingest_duration_seconds", "",
@@ -349,32 +252,10 @@ std::string RequestMetrics::RenderPrometheus(
   }
 
   if (primary != nullptr) {
-    AppendGauge(&out, "wdpt_replication_subscribers", primary->subscribers);
-    AppendCounter(&out, "wdpt_replication_batches_shipped_total",
-                  primary->batches_shipped);
-    AppendCounter(&out, "wdpt_replication_bytes_shipped_total",
-                  primary->bytes_shipped);
-    AppendCounter(&out, "wdpt_replication_snapshot_fetches_total",
-                  primary->snapshot_fetches);
-    AppendCounter(&out, "wdpt_replication_stale_subscribes_total",
-                  primary->stale_subscribes);
-    AppendGauge(&out, "wdpt_replication_head_seq", primary->head_seq);
+    AppendFields(&out, *primary, replication::kPrimaryReplicationFields);
   }
-
   if (replica != nullptr) {
-    AppendGauge(&out, "wdpt_replication_lag_batches", replica->lag_batches);
-    AppendCounter(&out, "wdpt_replication_batches_applied_total",
-                  replica->batches_applied);
-    AppendCounter(&out, "wdpt_replication_bytes_received_total",
-                  replica->bytes_received);
-    AppendCounter(&out, "wdpt_replication_resyncs_total", replica->resyncs);
-    AppendCounter(&out, "wdpt_replication_snapshot_fetches_total",
-                  replica->snapshot_fetches);
-    AppendCounter(&out, "wdpt_replication_redirects_total",
-                  replica->redirects);
-    AppendCounter(&out, "wdpt_replication_lag_sheds_total",
-                  replica->lag_sheds);
-    AppendGauge(&out, "wdpt_replication_epoch", replica->epoch);
+    AppendFields(&out, *replica, replication::kReplicaReplicationFields);
   }
 
   return out;

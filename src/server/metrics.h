@@ -27,7 +27,7 @@
 
 namespace wdpt::server {
 
-/// Monotonic counters exposed via the STATS command.
+/// Monotonic counters exposed via the STATS and METRICS commands.
 struct ServerCounters {
   uint64_t connections = 0;
   uint64_t requests = 0;         ///< Frames successfully parsed.
@@ -47,6 +47,35 @@ struct ServerCounters {
 
   std::string ToJson() const;
 };
+
+/// Every ServerCounters field, once: its STATS key and its METRICS
+/// family. drained_requests is exposed as a gauge (no `_total`): the
+/// chaos run's acceptance gate reads that exact family name.
+inline constexpr metrics::StatField<ServerCounters> kServerCounterFields[] = {
+    {"connections", "wdpt_server_connections_total",
+     &ServerCounters::connections},
+    {"requests", "wdpt_server_requests_total", &ServerCounters::requests},
+    {"protocol_errors", "wdpt_server_protocol_errors_total",
+     &ServerCounters::protocol_errors},
+    {"queries", "wdpt_server_queries_total", &ServerCounters::queries},
+    {"admitted", "wdpt_server_admitted_total", &ServerCounters::admitted},
+    {"rejected_overload", "wdpt_server_rejected_overload_total",
+     &ServerCounters::rejected_overload},
+    {"reloads", "wdpt_server_reloads_total", &ServerCounters::reloads},
+    {"ingests", "wdpt_server_ingests_total", &ServerCounters::ingests},
+    {"checkpoints", "wdpt_server_checkpoints_total",
+     &ServerCounters::checkpoints},
+    {"idle_timeouts", "wdpt_server_idle_timeouts_total",
+     &ServerCounters::idle_timeouts},
+    {"drained_requests", "wdpt_server_drained_requests",
+     &ServerCounters::drained_requests},
+    {"drain_rejections", "wdpt_server_drain_rejections_total",
+     &ServerCounters::drain_rejections},
+};
+
+inline std::string ServerCounters::ToJson() const {
+  return metrics::FieldsJson(*this, kServerCounterFields);
+}
 
 /// Cardinality of sparql::RequestMode (eval / partial / max).
 inline constexpr size_t kRequestModeCount = 3;
@@ -80,26 +109,16 @@ class RequestMetrics {
   /// that every stage count equals the number of queries served.
   void RecordIngest(const Trace& trace, StatusCode code);
 
-  /// Counts a query shed at admission. Shed requests never enter the
-  /// staged pipeline, so they are deliberately absent from the stage
-  /// histograms.
-  void RecordRejected();
-
-  /// Queries folded in via RecordQuery so far.
-  uint64_t queries_recorded() const {
-    return queries_recorded_.load(std::memory_order_relaxed);
-  }
-
-  /// The full Prometheus text exposition: server + engine counters,
+  /// The full Prometheus text exposition: one counter or gauge per
+  /// family-carrying row of the server and engine field tables,
   /// in-flight / snapshot-version gauges, response-status counters, and
-  /// both histogram families (cumulative `le` buckets in seconds).
+  /// the histogram families (cumulative `le` buckets in seconds).
   /// Series with zero observations are omitted to bound the payload.
   /// When `storage` is non-null (storage-backed servers) the
-  /// wdpt_storage_* counter/gauge families and the ingest/publish
-  /// latency histograms are appended. When `primary` / `replica` is
-  /// non-null the corresponding side's wdpt_replication_* families are
-  /// appended (a primary renders ship counters; a replica renders
-  /// apply/lag/resync counters) — docs/METRICS.md lists every family.
+  /// kStorageStatsFields families and the ingest/publish latency
+  /// histograms are appended. When `primary` / `replica` is non-null
+  /// that side's replication field table is appended — docs/METRICS.md
+  /// lists every family.
   std::string RenderPrometheus(
       const ServerCounters& counters, const EngineStats& engine,
       uint64_t in_flight, uint64_t snapshot_version,
@@ -125,8 +144,6 @@ class RequestMetrics {
   /// Snapshot-publication span (MakeSnapshot + hot swap) of ingests.
   metrics::LatencyHistogram publish_wall_;
   std::atomic<uint64_t> responses_by_status_[kStatusCodeCount] = {};
-  std::atomic<uint64_t> queries_recorded_{0};
-  std::atomic<uint64_t> rejected_{0};
 };
 
 }  // namespace wdpt::server

@@ -56,7 +56,10 @@ Status Server::Start(std::shared_ptr<const Snapshot> initial) {
     return Status::InvalidArgument("server already started");
   }
   next_version_.store(initial->version + 1);
-  snapshot_.Store(std::move(initial));
+  // With storage attached the manager holds the current snapshot
+  // (CurrentSnapshot); storing it here too would keep the start-up
+  // snapshot alive for the server's lifetime.
+  if (storage_ == nullptr) snapshot_.Store(std::move(initial));
   Result<int> listener = ListenLoopback(options_.port, &port_);
   if (!listener.ok()) {
     started_.store(false);
@@ -269,7 +272,7 @@ std::string Server::MetricsText() const {
   }
   return metrics_.RenderPrometheus(counters(), engine_.stats(),
                                    admission_.in_flight(),
-                                   snapshot_.Load()->version, storage_ptr,
+                                   CurrentSnapshot()->version, storage_ptr,
                                    primary_ptr, replica_ptr);
 }
 
@@ -493,7 +496,6 @@ Response Server::HandleQuery(const sparql::QueryRequest& query) {
   }
 
   if (!admission_.TryAdmit()) {
-    metrics_.RecordRejected();
     Response r;
     r.code = StatusCode::kOverloaded;
     r.retry_after_ms = options_.retry_after_ms;

@@ -243,6 +243,8 @@ class Server {
   Engine engine_;
   ThreadPool pool_;
   AdmissionController admission_;
+  /// The serving snapshot of text-loaded and replica servers; empty
+  /// when storage is attached (the manager holds that one).
   SnapshotHolder snapshot_;
   /// Durable storage behind INGEST/CHECKPOINT; null for text-loaded
   /// servers (which keep RELOAD instead).

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/storage/checksum.h"
+#include "src/storage/internal.h"
 
 namespace wdpt::storage {
 
@@ -18,23 +19,6 @@ namespace {
 constexpr char kMagic[8] = {'W', 'D', 'P', 'T', 'S', 'N', 'P', '1'};
 constexpr uint32_t kFormatVersion = 1;
 constexpr size_t kHeaderBytes = 40;
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-Status Errno(const std::string& what, const std::string& path) {
-  return Status::Internal(what + " " + path + ": " +
-                          std::string(std::strerror(errno)));
-}
 
 Status Corrupt(const std::string& path, const std::string& why) {
   return Status::ParseError("snapshot file " + path + " rejected: " + why);

@@ -1,12 +1,15 @@
 // Counters exported by the StorageManager (dependency-free so the
 // server's metrics renderer can consume them without pulling in the
-// storage implementation headers).
+// storage implementation headers). kStorageStatsFields names each
+// field once for the STATS JSON and the METRICS exposition.
 
 #ifndef WDPT_SRC_STORAGE_STATS_H_
 #define WDPT_SRC_STORAGE_STATS_H_
 
 #include <cstdint>
 #include <string>
+
+#include "src/common/metrics.h"
 
 namespace wdpt::storage {
 
@@ -27,6 +30,30 @@ struct StorageStats {
 
   std::string ToJson() const;
 };
+
+/// Every StorageStats field, once: its STATS key and its METRICS family
+/// (null for the STATS-only open-time load timer).
+inline constexpr metrics::StatField<StorageStats> kStorageStatsFields[] = {
+    {"wal_appends", "wdpt_storage_wal_appends_total",
+     &StorageStats::wal_appends},
+    {"wal_bytes", "wdpt_storage_wal_bytes_total", &StorageStats::wal_bytes},
+    {"replays", "wdpt_storage_replays_total", &StorageStats::replays},
+    {"replayed_ops", "wdpt_storage_replayed_ops_total",
+     &StorageStats::replayed_ops},
+    {"truncated_bytes", "wdpt_storage_truncated_bytes_total",
+     &StorageStats::truncated_bytes},
+    {"checkpoints", "wdpt_storage_checkpoints_total",
+     &StorageStats::checkpoints},
+    {"publishes", "wdpt_storage_publishes_total", &StorageStats::publishes},
+    {"wal_backlog_bytes", "wdpt_storage_wal_backlog_bytes",
+     &StorageStats::wal_backlog_bytes},
+    {"snapshot_seq", "wdpt_storage_snapshot_seq", &StorageStats::snapshot_seq},
+    {"snapshot_load_ns", nullptr, &StorageStats::snapshot_load_ns},
+};
+
+inline std::string StorageStats::ToJson() const {
+  return metrics::FieldsJson(*this, kStorageStatsFields);
+}
 
 }  // namespace wdpt::storage
 

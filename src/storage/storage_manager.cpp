@@ -8,11 +8,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "src/sparql/data_loader.h"
 #include "src/storage/apply.h"
+#include "src/storage/internal.h"
 #include "src/storage/snapshot_file.h"
 
 namespace wdpt::storage {
@@ -26,11 +26,6 @@ uint64_t ElapsedNs(Clock::time_point start) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                            start)
           .count());
-}
-
-Status Errno(const std::string& what, const std::string& path) {
-  return Status::Internal(what + " " + path + ": " +
-                          std::string(std::strerror(errno)));
 }
 
 /// Directory-entry durability: after a rename the new name must survive
@@ -306,31 +301,6 @@ Result<ReplicaSnapshot> StorageManager::FetchSnapshotForReplica() {
   }
   ::close(fd);
   return out;
-}
-
-std::string StorageStats::ToJson() const {
-  std::string json = "{";
-  bool first = true;
-  auto field = [&](const char* name, uint64_t value) {
-    if (!first) json += ",";
-    first = false;
-    json += "\"";
-    json += name;
-    json += "\":";
-    json += std::to_string(value);
-  };
-  field("wal_appends", wal_appends);
-  field("wal_bytes", wal_bytes);
-  field("replays", replays);
-  field("replayed_ops", replayed_ops);
-  field("truncated_bytes", truncated_bytes);
-  field("checkpoints", checkpoints);
-  field("publishes", publishes);
-  field("wal_backlog_bytes", wal_backlog_bytes);
-  field("snapshot_seq", snapshot_seq);
-  field("snapshot_load_ns", snapshot_load_ns);
-  json += "}";
-  return json;
 }
 
 StorageStats StorageManager::stats() const {

@@ -8,6 +8,7 @@
 
 #include "src/server/fault.h"
 #include "src/storage/checksum.h"
+#include "src/storage/internal.h"
 
 namespace wdpt::storage {
 
@@ -18,26 +19,9 @@ constexpr size_t kEntryHeaderBytes = 12;  // u32 length + u64 checksum.
 // bytes would otherwise announce, without constraining real batches.
 constexpr uint32_t kMaxEntryBytes = 256u << 20;
 
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
 void AppendStr(std::string* out, const std::string& s) {
   AppendU32(out, static_cast<uint32_t>(s.size()));
   out->append(s);
-}
-
-Status Errno(const std::string& what, const std::string& path) {
-  return Status::Internal(what + " " + path + ": " +
-                          std::string(std::strerror(errno)));
 }
 
 std::string EncodePayload(const std::vector<TripleOp>& ops) {

@@ -8,10 +8,12 @@
 // writes against a replica answer kRedirect naming the primary, an
 // empty primary bootstraps a working (empty) replica, and a replica
 // held past --max-replica-lag sheds reads kOverloaded until it catches
-// up. See docs/REPLICATION.md.
+// up, and on both sides every row of each stats field table reaches the
+// STATS JSON and the METRICS text. See docs/REPLICATION.md.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include <chrono>
@@ -233,6 +235,81 @@ TEST_F(ReplicationTest, EmptyPrimaryBootstrapsAndStreams) {
   ASSERT_TRUE(WaitForVersion(*replica, primary->CurrentSnapshot()->version));
   EXPECT_EQ(QueryRows(replica->port(), kFig1Query),
             ExpectedRows(BatchTriples(1), kFig1Query));
+}
+
+// The flat object under `"section":{` in a STATS reply; empty when the
+// section is absent. Sections hold numbers only, so the first '}'
+// closes it.
+std::string StatsSection(const std::string& stats_json,
+                         const std::string& section) {
+  size_t at = stats_json.find("\"" + section + "\":{");
+  if (at == std::string::npos) return "";
+  size_t open = stats_json.find('{', at);
+  return stats_json.substr(open, stats_json.find('}', open) - open + 1);
+}
+
+// Every row of `fields` is rendered: its key once in the STATS section,
+// and its family (if any) as a typed METRICS sample.
+template <typename Stats, size_t N>
+void ExpectFieldsRendered(const std::string& stats_json,
+                          const std::string& section,
+                          const std::string& metrics_text,
+                          const metrics::StatField<Stats> (&fields)[N]) {
+  std::string object = StatsSection(stats_json, section);
+  ASSERT_FALSE(object.empty()) << "no \"" << section << "\" in "
+                               << stats_json;
+  EXPECT_EQ(static_cast<size_t>(
+                std::count(object.begin(), object.end(), ':')),
+            N)
+      << object;
+  for (const metrics::StatField<Stats>& field : fields) {
+    EXPECT_NE(object.find("\"" + std::string(field.key) + "\":"),
+              std::string::npos)
+        << section << " lacks " << field.key << ": " << object;
+    if (field.family == nullptr) continue;
+    std::string family = field.family;
+    std::string kind = family.ends_with("_total") ? "counter" : "gauge";
+    EXPECT_NE(metrics_text.find("# TYPE " + family + " " + kind + "\n" +
+                                family + " "),
+              std::string::npos)
+        << family << " missing from METRICS";
+  }
+}
+
+TEST_F(ReplicationTest, EveryFieldTableRowReachesStatsAndMetrics) {
+  std::unique_ptr<Server> primary = StartPrimary(kFig1Triples);
+  std::unique_ptr<Server> replica = StartReplica(primary->port());
+  ASSERT_EQ(IngestOn(primary->port(), BatchOps(1))->code, StatusCode::kOk);
+  ASSERT_TRUE(WaitForVersion(*replica, primary->CurrentSnapshot()->version));
+
+  for (Server* srv : {primary.get(), replica.get()}) {
+    bool is_primary = srv == primary.get();
+    SCOPED_TRACE(is_primary ? "primary" : "replica");
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", srv->port()).ok());
+    Result<Response> stats = client.Stats();
+    ASSERT_TRUE(stats.ok());
+    ASSERT_EQ(stats->code, StatusCode::kOk);
+    std::string text = srv->MetricsText();
+    ExpectFieldsRendered(stats->stats_json, "engine", text,
+                         kEngineStatsFields);
+    ExpectFieldsRendered(stats->stats_json, "server", text,
+                         kServerCounterFields);
+    if (is_primary) {
+      ExpectFieldsRendered(stats->stats_json, "storage", text,
+                           storage::kStorageStatsFields);
+      ExpectFieldsRendered(stats->stats_json, "replication", text,
+                           replication::kPrimaryReplicationFields);
+      EXPECT_NE(stats->stats_json.find("\"replication\":{\"role\":0,"),
+                std::string::npos);
+    } else {
+      EXPECT_EQ(StatsSection(stats->stats_json, "storage"), "");
+      ExpectFieldsRendered(stats->stats_json, "replication", text,
+                           replication::kReplicaReplicationFields);
+      EXPECT_NE(stats->stats_json.find("\"replication\":{\"role\":1,"),
+                std::string::npos);
+    }
+  }
 }
 
 TEST_F(ReplicationTest, CheckpointMidStreamForcesSnapshotResync) {

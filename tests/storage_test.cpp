@@ -621,6 +621,41 @@ TEST_F(StorageTest, WireIngestAndCheckpointThroughStorageBackedServer) {
   srv.Stop();
 }
 
+// On a storage-backed server every INGEST publishes through the
+// manager: the snapshot-version gauge must follow it, and the snapshot
+// the server started on must be released once nothing reads it.
+TEST_F(StorageTest, SnapshotVersionGaugeFollowsIngests) {
+  StorageOptions storage_options;
+  storage_options.dir = Path("store");
+  Result<std::unique_ptr<StorageManager>> manager =
+      StorageManager::Open(storage_options);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE((*manager)->ImportTriples(kFig1Triples).ok());
+
+  server::Server srv((server::ServerOptions()));
+  ASSERT_TRUE(srv.StartWithStorage(std::move(*manager)).ok());
+  std::weak_ptr<const server::Snapshot> startup = srv.CurrentSnapshot();
+  uint64_t startup_version = startup.lock()->version;
+
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", srv.port()).ok());
+  Result<server::Response> ingest =
+      client.Ingest("add Odessa recorded_by Caribou\n");
+  ASSERT_TRUE(ingest.ok());
+  ASSERT_EQ(ingest->code, StatusCode::kOk) << ingest->message;
+
+  uint64_t version = srv.CurrentSnapshot()->version;
+  EXPECT_GT(version, startup_version);
+  std::string metrics = srv.MetricsText();
+  EXPECT_NE(metrics.find("\nwdpt_server_snapshot_version " +
+                         std::to_string(version) + "\n"),
+            std::string::npos)
+      << metrics;
+  EXPECT_TRUE(startup.expired());
+
+  srv.Stop();
+}
+
 TEST_F(StorageTest, IngestOnTextLoadedServerIsRejected) {
   Result<std::shared_ptr<const server::Snapshot>> snapshot =
       server::LoadSnapshot(kFig1Triples, 1);
